@@ -172,18 +172,13 @@ ManifestWriter::open(const std::string &path,
 
 void
 ManifestWriter::appendShard(unsigned shard, unsigned attempts,
-                            const Json &outcomes,
-                            const std::string &node)
+                            const Json &outcomes)
 {
     Json entry = Json::object();
     entry.set("type", "shard");
     entry.set("shard", shard);
     entry.set("attempts", attempts);
     entry.set("outcomes", outcomes);
-    // Node provenance is additive: the loader reads entries by known
-    // keys, so pre-node manifests resume here and these resume there.
-    if (!node.empty())
-        entry.set("node", node);
     appendLine(entry);
 }
 

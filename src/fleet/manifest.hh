@@ -12,6 +12,10 @@
  *   {"type":"alone","key":"mcf#1x8x2048@50000","result":{...}}
  *   {"type":"shard","shard":3,"attempts":1,"outcomes":[...]}
  *
+ * The loader reads entries by known keys only, so an extra key — such
+ * as the legacy `"node"` provenance older builds wrote into shard
+ * lines — is ignored and those manifests resume unchanged.
+ *
  * Durability model: each entry is one line written with a single
  * write(2) and fsync'd, so a SIGKILL'd supervisor loses at most the
  * line being appended. The loader tolerates exactly that — a
@@ -101,15 +105,9 @@ class ManifestWriter
 
     bool isOpen() const { return fd_ >= 0; }
 
-    /**
-     * Append one completed-shard entry. A non-empty @p node records
-     * which fault domain executed the shard (provenance only — the
-     * loader ignores the field, so manifests written before node
-     * provenance existed resume unchanged, and vice versa).
-     */
+    /** Append one completed-shard entry. */
     void appendShard(unsigned shard, unsigned attempts,
-                     const Json &outcomes,
-                     const std::string &node = std::string());
+                     const Json &outcomes);
 
     /** Append one alone-baseline cache entry. */
     void appendAlone(const std::string &key, const Json &result);

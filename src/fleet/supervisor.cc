@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include <csignal>
 #include <fcntl.h>
@@ -17,9 +16,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "fleet/executor.hh"
 #include "fleet/manifest.hh"
-#include "fleet/netfault.hh"
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
 #include "obs/telemetry.hh"
@@ -116,9 +113,6 @@ struct ShardState
      * feed the same throughput tooling as the perf trajectory.
      */
     double wallSeconds = 0;
-    /** Fault domain of the last dispatch (provenance; "" = never
-     *  dispatched this run, e.g. resumed from the manifest). */
-    std::string node;
 
     std::size_t jobs() const { return end - begin; }
 
@@ -142,36 +136,64 @@ struct WorkerProc
     bool alive = false;
     bool busy = false;
     std::size_t shard = 0;
-    std::size_t node = 0; ///< Index into the supervisor's node table.
     bool hasDeadline = false;
     Clock::time_point deadline{};
     Clock::time_point lastHeard{};
 };
 
 /**
- * One placement target with its health state. Health is charged per
- * *fault domain*: worker crashes, hangs, garbage, and launch failures
- * increment consecutiveFailures; a completed shard resets it. A node
- * past the failure threshold is quarantined — permanently out of
- * rotation, its in-flight shards migrated. Below the threshold it
- * only backs off (notBefore), doubling per consecutive failure.
- *
- * The implicit single "local" domain (no registry configured) is
- * exempt from all of this: its only failure policy is the per-shard
- * retry budget, exactly the pre-executor behavior.
+ * Fork/exec @p argv with its stdin and stdout on fresh pipes. A launch
+ * that starts but dies instantly (bad binary) surfaces as immediate
+ * EOF on the returned worker's stdout, classified like any other
+ * worker death. @throws SimError when pipe(2) or fork(2) fails.
  */
-struct NodeState
+WorkerProc
+launchPipedProcess(const std::vector<std::string> &argv)
 {
-    NodeSpec spec;
-    std::unique_ptr<ShardExecutor> executor;
-    bool implicitLocal = false;
-    unsigned consecutiveFailures = 0;
-    bool quarantined = false;
-    /** Backoff gate: no launches/assignments before this instant. */
-    Clock::time_point notBefore{};
-    /** WorkUnits dispatched toward this node (provenance). */
-    std::uint64_t dispatches = 0;
-};
+    STFM_ASSERT(!argv.empty(), "worker launch argv is empty");
+    int inPipe[2];
+    int outPipe[2];
+    if (::pipe(inPipe) != 0 || ::pipe(outPipe) != 0) {
+        throw SimError(formatMessage("cannot create worker pipes: %s",
+                                     std::strerror(errno)));
+    }
+    // Parent-held ends must not leak into later workers' execs.
+    ::fcntl(inPipe[1], F_SETFD, FD_CLOEXEC);
+    ::fcntl(outPipe[0], F_SETFD, FD_CLOEXEC);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+        const int saved = errno;
+        ::close(inPipe[0]);
+        ::close(inPipe[1]);
+        ::close(outPipe[0]);
+        ::close(outPipe[1]);
+        throw SimError(formatMessage("cannot fork worker: %s",
+                                     std::strerror(saved)));
+    }
+    if (pid == 0) {
+        ::dup2(inPipe[0], STDIN_FILENO);
+        ::dup2(outPipe[1], STDOUT_FILENO);
+        ::close(inPipe[0]);
+        ::close(outPipe[1]);
+        std::vector<char *> args;
+        args.reserve(argv.size() + 1);
+        for (const std::string &arg : argv)
+            args.push_back(const_cast<char *>(arg.c_str()));
+        args.push_back(nullptr);
+        ::execvp(args[0], args.data());
+        ::_exit(127); // The exit path classifies this as a crash.
+    }
+    ::close(inPipe[0]);
+    ::close(outPipe[1]);
+    ::fcntl(outPipe[0], F_SETFL, O_NONBLOCK);
+
+    WorkerProc worker;
+    worker.pid = pid;
+    worker.in = inPipe[1];
+    worker.out = outPipe[0];
+    worker.alive = true;
+    return worker;
+}
 
 class Supervisor
 {
@@ -204,8 +226,9 @@ class Supervisor
         livenessSec_ = options_.livenessSec > 0
                            ? options_.livenessSec
                            : std::max(2.0, 8.0 * heartbeatMs_ / 1000.0);
+        if (options_.workerArgv.empty())
+            options_.workerArgv = {"/proc/self/exe", "worker"};
 
-        buildNodeTable();
         openCheckpoint(spec);
     }
 
@@ -232,78 +255,6 @@ class Supervisor
 
   private:
     FleetStats &stats() { return outcome_.stats; }
-
-    // Nodes -----------------------------------------------------------
-
-    /**
-     * Resolve the placement targets. No registry → one implicit
-     * "local" node driven by a LocalExecutor with the exact argv the
-     * pre-executor supervisor exec'd (bit-identical launch path).
-     * Any registry → every node gets a RemoteExecutor; a node without
-     * a launch template uses the loopback `sh -c` launcher.
-     */
-    void
-    buildNodeTable()
-    {
-        std::vector<NodeSpec> specs;
-        if (!options_.nodesFile.empty())
-            specs = loadNodesFile(options_.nodesFile);
-        specs.insert(specs.end(), options_.nodeSpecs.begin(),
-                     options_.nodeSpecs.end());
-        if (specs.empty()) {
-            NodeState local;
-            local.spec.name = kLocalNodeName;
-            local.spec.slots = maxWorkers_;
-            local.implicitLocal = true;
-            local.executor = std::make_unique<LocalExecutor>(
-                local.spec.name, options_.workerArgv.empty()
-                                     ? defaultArgv()
-                                     : options_.workerArgv);
-            nodes_.push_back(std::move(local));
-        } else {
-            validateNodes(specs);
-            const std::vector<std::string> worker =
-                resolvedWorkerArgv();
-            for (NodeSpec &spec : specs) {
-                NodeState node;
-                node.executor = std::make_unique<RemoteExecutor>(
-                    spec.name, spec.launch, worker);
-                node.spec = std::move(spec);
-                nodes_.push_back(std::move(node));
-            }
-        }
-        if (netfault_.plan().active()) {
-            bool known = false;
-            for (const NodeState &node : nodes_)
-                known = known || node.spec.name == netfault_.plan().node;
-            if (!known) {
-                throw SimError(formatMessage(
-                    "STFM_NETFAULT targets node '%s' but this run has "
-                    "no node of that name",
-                    netfault_.plan().node.c_str()));
-            }
-        }
-    }
-
-    /**
-     * The worker argv a transport process runs. `/proc/self/exe`
-     * cannot survive a hop through `sh -c` (it would resolve to the
-     * shell), so the remote default is the readlink-resolved binary
-     * path; an explicit workerArgv passes through untouched.
-     */
-    std::vector<std::string>
-    resolvedWorkerArgv() const
-    {
-        if (!options_.workerArgv.empty())
-            return options_.workerArgv;
-        char path[4096];
-        const ssize_t n =
-            ::readlink("/proc/self/exe", path, sizeof(path) - 1);
-        if (n <= 0)
-            return defaultArgv();
-        path[n] = '\0';
-        return {path, "worker"};
-    }
 
     // Checkpoint ------------------------------------------------------
 
@@ -402,84 +353,33 @@ class Supervisor
         return true;
     }
 
-    bool
-    nodeEligible(std::size_t index, Clock::time_point now) const
-    {
-        const NodeState &node = nodes_[index];
-        return !node.quarantined && now >= node.notBefore;
-    }
-
     /**
-     * Find (or launch) a worker for the next Pending shard. Placement
-     * prefers an idle worker already alive on an eligible node, then
-     * launches on the least-loaded eligible node with a free slot.
-     * The STFM_NETFAULT launch gate is checked *after* selection so a
-     * severed node keeps accumulating launch failures — that is the
-     * path that quarantines it.
+     * Find (or launch) a worker for the next Pending shard: an idle
+     * live worker first, else a fresh launch while the pool is below
+     * its width.
      */
     WorkerProc *
     workerForShard()
     {
-        const Clock::time_point now = Clock::now();
         std::size_t aliveTotal = 0;
-        std::vector<unsigned> aliveOn(nodes_.size(), 0);
         WorkerProc *freeSlot = nullptr;
-        WorkerProc *idle = nullptr;
         for (WorkerProc &worker : pool_) {
             if (worker.alive) {
+                if (!worker.busy)
+                    return &worker;
                 ++aliveTotal;
-                ++aliveOn[worker.node];
-                if (!worker.busy && !idle &&
-                    nodeEligible(worker.node, now))
-                    idle = &worker;
             } else if (!freeSlot) {
                 freeSlot = &worker;
             }
         }
-        if (idle)
-            return idle;
         if (aliveTotal >= maxWorkers_)
             return nullptr;
-        std::size_t best = nodes_.size();
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (!nodeEligible(i, now) ||
-                aliveOn[i] >= nodes_[i].spec.slots)
-                continue;
-            if (best == nodes_.size() || aliveOn[i] < aliveOn[best])
-                best = i;
-        }
-        if (best == nodes_.size())
-            return nullptr;
-        if (!netfault_.launchAllowed(nodes_[best].spec.name)) {
-            noteLaunchBlocked(best);
-            return nullptr;
-        }
         if (!freeSlot) {
             pool_.emplace_back();
             freeSlot = &pool_.back();
         }
-        spawn(*freeSlot, best);
+        *freeSlot = launchPipedProcess(options_.workerArgv);
         return freeSlot;
-    }
-
-    void
-    spawn(WorkerProc &worker, std::size_t node)
-    {
-        const WorkerChannel channel = nodes_[node].executor->launch();
-        worker = WorkerProc{};
-        worker.pid = channel.pid;
-        worker.in = channel.in;
-        worker.out = channel.out;
-        worker.node = node;
-        worker.alive = true;
-    }
-
-    static const std::vector<std::string> &
-    defaultArgv()
-    {
-        static const std::vector<std::string> argv = {
-            "/proc/self/exe", "worker"};
-        return argv;
     }
 
     void
@@ -520,210 +420,10 @@ class Supervisor
                               std::chrono::duration<double>(
                                   options_.timeoutSec));
             }
-            NodeState &node = nodes_[worker->node];
-            ++node.dispatches;
-            shard.node = node.spec.name;
-            const bool netfaultArmed = !netfault_.fired();
-            const NetFaultState::DispatchAction action =
-                netfault_.onDispatch(node.spec.name);
-            // Count the firing however it manifests: stall fires on a
-            // *delivered* dispatch (only the replies die).
-            if (netfaultArmed && netfault_.fired())
-                ++stats().netfaults;
-            switch (action) {
-            case NetFaultState::DispatchAction::SeverNode:
-                if (!options_.quiet) {
-                    std::fprintf(stderr,
-                                 "[fleet] netfault: node '%s' severed "
-                                 "at dispatch\n",
-                                 node.spec.name.c_str());
-                }
-                // Kills this worker too; the shard just marked Running
-                // migrates back to Pending with its budget intact.
-                severNode(worker->node);
-                continue;
-            case NetFaultState::DispatchAction::DropFrame:
-                if (!options_.quiet) {
-                    std::fprintf(stderr,
-                                 "[fleet] netfault: dispatch to node "
-                                 "'%s' dropped\n",
-                                 node.spec.name.c_str());
-                }
-                // The worker never sees the unit and sits silent; the
-                // liveness window reaps it like any hang.
-                continue;
-            case NetFaultState::DispatchAction::Deliver:
-                if (netfaultArmed && netfault_.fired() &&
-                    !options_.quiet) {
-                    std::fprintf(stderr,
-                                 "[fleet] netfault: replies from node "
-                                 "'%s' now discarded\n",
-                                 node.spec.name.c_str());
-                }
-                break;
-            }
             // A dead-on-arrival worker (bad binary, instant crash)
             // fails this write; its stdout EOF classifies the attempt.
             (void)writeFrame(worker->in, toWire(unit));
         }
-    }
-
-    // Node fault domains ----------------------------------------------
-
-    /**
-     * Pull a Running shard back to Pending because its *node* is being
-     * taken down — the shard itself did nothing wrong, so the dispatch
-     * that pre-charged its attempt counter is refunded and the retry
-     * budget stays intact. The replay uses identical seeds, so the
-     * merged document is byte-identical wherever the shard lands.
-     */
-    void
-    migrateShard(std::size_t index, const char *why)
-    {
-        ShardState &shard = shards_[index];
-        if (shard.status != ShardStatus::Running)
-            return;
-        shard.status = ShardStatus::Pending;
-        if (shard.attempts > 0)
-            --shard.attempts;
-        shard.notBefore = Clock::now();
-        ++stats().migrations;
-        if (!options_.quiet) {
-            std::fprintf(stderr,
-                         "[fleet] shard %zu migrating off node '%s' "
-                         "(%s)\n",
-                         index, shard.node.c_str(), why);
-        }
-    }
-
-    /** Kill every worker on @p node, migrating the shards they held. */
-    void
-    evacuateNode(std::size_t node, const char *why)
-    {
-        for (WorkerProc &worker : pool_) {
-            if (!worker.alive || worker.node != node)
-                continue;
-            if (worker.busy)
-                migrateShard(worker.shard, why);
-            killWorker(worker);
-        }
-    }
-
-    /** A netfault sever: the node is gone *now*; launches keep being
-     *  attempted (and blocked) until the charges quarantine it. */
-    void
-    severNode(std::size_t node)
-    {
-        evacuateNode(node, "node severed");
-    }
-
-    void
-    quarantineNode(std::size_t index, const std::string &why)
-    {
-        NodeState &node = nodes_[index];
-        if (node.quarantined)
-            return;
-        node.quarantined = true;
-        ++stats().nodesQuarantined;
-        if (!options_.quiet) {
-            std::fprintf(stderr,
-                         "[fleet] node '%s' quarantined after %u "
-                         "consecutive failures (%s)\n",
-                         node.spec.name.c_str(),
-                         node.consecutiveFailures, why.c_str());
-        }
-        evacuateNode(index, "node quarantined");
-        if (!anyHealthyNode())
-            failPendingShards("no healthy nodes remain");
-    }
-
-    /**
-     * Charge one failure to @p index's fault domain. Below the
-     * quarantine threshold the node only backs off (exponentially,
-     * capped); at the threshold it is quarantined. The implicit local
-     * domain is exempt — single-machine sweeps keep the per-shard
-     * retry budget as their only policy.
-     */
-    void
-    chargeNode(std::size_t index, const std::string &why)
-    {
-        NodeState &node = nodes_[index];
-        if (node.implicitLocal || node.quarantined)
-            return;
-        ++node.consecutiveFailures;
-        if (node.consecutiveFailures >= options_.nodeQuarantineAfter) {
-            quarantineNode(index, why);
-            return;
-        }
-        backOffNode(node, node.consecutiveFailures);
-        if (!options_.quiet) {
-            std::fprintf(stderr,
-                         "[fleet] node '%s' failure %u/%u (%s); "
-                         "backing off\n",
-                         node.spec.name.c_str(),
-                         node.consecutiveFailures,
-                         options_.nodeQuarantineAfter, why.c_str());
-        }
-    }
-
-    void
-    backOffNode(NodeState &node, unsigned failures)
-    {
-        const double backoff = std::min(
-            options_.nodeBackoffCapSec,
-            options_.nodeBackoffSec *
-                static_cast<double>(
-                    1u << std::min(failures > 0 ? failures - 1 : 0u,
-                                   16u)));
-        node.notBefore =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(backoff));
-    }
-
-    /**
-     * A launch the netfault gate refused. Launch failures are charged
-     * to the node, never to any shard — no shard was dispatched. A
-     * flap heals here: the node backs off once and rejoins healthy.
-     */
-    void
-    noteLaunchBlocked(std::size_t index)
-    {
-        NodeState &node = nodes_[index];
-        ++stats().launchFailures;
-        if (netfault_.noteLaunchBlocked(node.spec.name)) {
-            backOffNode(node, 1);
-            if (!options_.quiet) {
-                std::fprintf(stderr,
-                             "[fleet] netfault: node '%s' flapped; "
-                             "rejoining after backoff\n",
-                             node.spec.name.c_str());
-            }
-            return;
-        }
-        chargeNode(index, "worker launch failed");
-    }
-
-    /** Terminal degradation: nowhere left to place work. */
-    void
-    failPendingShards(const std::string &why)
-    {
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            ShardState &shard = shards_[i];
-            if (shard.status != ShardStatus::Pending)
-                continue;
-            shard.status = ShardStatus::Failed;
-            shard.settleWallClock();
-            shard.error = formatMessage(
-                "shard %zu abandoned after %u attempt%s: %s", i,
-                shard.attempts, shard.attempts == 1 ? "" : "s",
-                why.c_str());
-            ++stats().shardsFailed;
-            outcome_.failedShards.push_back(
-                static_cast<unsigned>(i));
-            noteProgress(static_cast<unsigned>(i), "FAILED",
-                         shard.attempts);
-        }
-        streamArtifacts();
     }
 
     // Event loop ------------------------------------------------------
@@ -775,21 +475,10 @@ class Supervisor
             consider(livenessSec_ -
                      secondsBetween(worker.lastHeard, now));
         }
-        bool anyPending = false;
         for (const ShardState &shard : shards_) {
-            if (shard.status != ShardStatus::Pending)
-                continue;
-            anyPending = true;
-            if (shard.notBefore > now)
+            if (shard.status == ShardStatus::Pending &&
+                shard.notBefore > now)
                 consider(secondsBetween(now, shard.notBefore));
-        }
-        if (anyPending) {
-            // A backed-off node becoming eligible is an assignment
-            // opportunity; wake for it like for a shard backoff.
-            for (const NodeState &node : nodes_) {
-                if (!node.quarantined && node.notBefore > now)
-                    consider(secondsBetween(now, node.notBefore));
-            }
         }
         const double clamped = std::min(1.0, std::max(0.001, wait));
         return static_cast<int>(std::ceil(clamped * 1000.0));
@@ -798,24 +487,14 @@ class Supervisor
     void
     handleReadable(WorkerProc &worker)
     {
-        // A stalled node (STFM_NETFAULT=stall) models a one-way
-        // partition: its bytes are read and discarded — heartbeats
-        // and results alike — so the liveness machinery sees exactly
-        // the silence a real partition would produce. EOF still
-        // registers (the transport process dying is observable even
-        // across a partition, and ignoring POLLHUP would spin).
-        const bool stalled =
-            netfault_.inboundBlocked(nodes_[worker.node].spec.name);
         bool eof = false;
         char buffer[4096];
         for (;;) {
             const ssize_t n =
                 ::read(worker.out, buffer, sizeof(buffer));
             if (n > 0) {
-                if (!stalled) {
-                    worker.decoder.feed(
-                        buffer, static_cast<std::size_t>(n));
-                }
+                worker.decoder.feed(buffer,
+                                    static_cast<std::size_t>(n));
                 continue;
             }
             if (n == 0) {
@@ -829,8 +508,7 @@ class Supervisor
             eof = true; // Read error: treat like a vanished worker.
             break;
         }
-        if (!stalled)
-            drainFrames(worker);
+        drainFrames(worker);
         if (eof && worker.alive)
             handleWorkerExit(worker);
     }
@@ -879,9 +557,7 @@ class Supervisor
         ++stats().protocolErrors;
         const bool wasBusy = worker.busy;
         const std::size_t shard = worker.shard;
-        const std::size_t node = worker.node;
         killWorker(worker);
-        chargeNode(node, "protocol garbage");
         if (wasBusy) {
             failAttempt(shard,
                         "protocol garbage on the worker stream (" +
@@ -894,7 +570,6 @@ class Supervisor
     {
         const bool wasBusy = worker.busy;
         const std::size_t shard = worker.shard;
-        const std::size_t node = worker.node;
         int status = 0;
         ::waitpid(worker.pid, &status, 0);
         closeWorker(worker);
@@ -911,13 +586,10 @@ class Supervisor
         } else if (WIFSIGNALED(status) &&
                    WTERMSIG(status) == SIGKILL) {
             // Distinct from other signal deaths: nothing in the fleet
-            // sends SIGKILL to a busy worker, so on a loaded node this
+            // sends SIGKILL to a busy worker, so on a loaded host this
             // is almost always the kernel OOM killer.
             ++stats().sigkills;
-            detail = formatMessage(
-                "worker killed by SIGKILL on node '%s' (likely the "
-                "OOM killer)",
-                nodes_[node].spec.name.c_str());
+            detail = "worker killed by SIGKILL (likely the OOM killer)";
         } else if (WIFSIGNALED(status)) {
             detail = formatMessage("worker killed by signal %d (%s)",
                                    WTERMSIG(status),
@@ -925,7 +597,6 @@ class Supervisor
         } else {
             detail = "worker vanished without an exit status";
         }
-        chargeNode(node, "worker died");
         failAttempt(shard, detail);
     }
 
@@ -951,12 +622,7 @@ class Supervisor
                 secondsBetween(worker.lastHeard, now);
             if (silent > livenessSec_) {
                 ++stats().hangs;
-                const std::size_t node = worker.node;
                 killWorker(worker);
-                // A hang is a node symptom (partition, overload) as
-                // much as a shard one; a timeout above is not — slow
-                // shards are the shard's own fault.
-                chargeNode(node, "worker went silent");
                 failAttempt(
                     shard,
                     formatMessage(
@@ -1023,28 +689,16 @@ class Supervisor
         }
         if (writer_.isOpen()) {
             writer_.appendShard(static_cast<unsigned>(worker.shard),
-                                shard.attempts, outcomesWire,
-                                nodes_[worker.node].spec.name);
+                                shard.attempts, outcomesWire);
         }
 
         shard.status = ShardStatus::Done;
         shard.settleWallClock();
         ++stats().shardsCompleted;
-        nodes_[worker.node].consecutiveFailures = 0;
         worker.busy = false;
         noteProgress(static_cast<unsigned>(worker.shard), "done",
                      shard.attempts);
         streamArtifacts();
-    }
-
-    bool
-    anyHealthyNode() const
-    {
-        for (const NodeState &node : nodes_) {
-            if (!node.quarantined)
-                return true;
-        }
-        return false;
     }
 
     void
@@ -1052,18 +706,13 @@ class Supervisor
     {
         ShardState &shard = shards_[index];
         shard.status = ShardStatus::Pending;
-        // A retry needs somewhere to run: when the failure that
-        // brought us here also quarantined the last node, pending the
-        // shard would park it forever.
-        const bool stranded = !anyHealthyNode();
-        if (shard.attempts >= 1 + options_.retries || stranded) {
+        if (shard.attempts >= 1 + options_.retries) {
             shard.status = ShardStatus::Failed;
             shard.settleWallClock();
             shard.error = formatMessage(
-                "shard %zu failed after %u attempt%s: %s%s", index,
+                "shard %zu failed after %u attempt%s: %s", index,
                 shard.attempts, shard.attempts == 1 ? "" : "s",
-                detail.c_str(),
-                stranded ? " (no healthy nodes remain)" : "");
+                detail.c_str());
             ++stats().shardsFailed;
             outcome_.failedShards.push_back(
                 static_cast<unsigned>(index));
@@ -1270,23 +919,7 @@ class Supervisor
             record.set("attempts", shard.attempts);
             record.set("wall_seconds",
                        std::round(shard.wallSeconds * 1000.0) / 1000.0);
-            record.set("node", shard.node);
             shard_records.push(std::move(record));
-        }
-        // Node provenance: which fault domains the sweep ran across,
-        // over which transports, and what state they ended in.
-        Json node_records = Json::array();
-        for (const NodeState &node : nodes_) {
-            Json record = Json::object();
-            record.set("name", node.spec.name);
-            record.set("transport", node.executor->transport());
-            record.set("slots",
-                       static_cast<std::uint64_t>(node.spec.slots));
-            record.set("dispatches", node.dispatches);
-            record.set("consecutive_failures",
-                       node.consecutiveFailures);
-            record.set("quarantined", node.quarantined);
-            node_records.push(std::move(record));
         }
 
         Json document = Json::object();
@@ -1295,7 +928,6 @@ class Supervisor
         document.set("interrupted", outcome_.interrupted);
         document.set("counters", std::move(counters));
         document.set("shards", std::move(shard_records));
-        document.set("nodes", std::move(node_records));
         try {
             writeJsonFile(document, options_.checkpoint +
                                         "/fleet_counters.json");
@@ -1314,8 +946,6 @@ class Supervisor
     FleetOutcome outcome_;
     std::vector<ShardState> shards_;
     std::vector<WorkerProc> pool_;
-    std::vector<NodeState> nodes_;
-    NetFaultState netfault_{netFaultPlanFromEnv()};
     std::map<std::string, ThreadResult> alone_;
     ManifestWriter writer_;
     unsigned maxWorkers_ = 1;
@@ -1383,14 +1013,6 @@ registerFleetTelemetry(TelemetryRegistry &registry,
                      probe(stats.heartbeats));
     registry.counter("fleet.sigkills", "events", "fleet",
                      probe(stats.sigkills));
-    registry.counter("fleet.migrations", "shards", "fleet",
-                     probe(stats.migrations));
-    registry.counter("fleet.launchFailures", "events", "fleet",
-                     probe(stats.launchFailures));
-    registry.counter("fleet.nodes.quarantined", "nodes", "fleet",
-                     probe(stats.nodesQuarantined));
-    registry.counter("fleet.netfaults", "events", "fleet",
-                     probe(stats.netfaults));
 }
 
 } // namespace fleet

@@ -1,8 +1,7 @@
 /**
  * @file
  * The fleet supervisor: fault-tolerant sharded sweep execution over a
- * pool of `stfm worker` processes, local or launched on other nodes
- * through a ShardExecutor (fleet/executor.hh).
+ * pool of `stfm worker` processes on this host.
  *
  * The supervisor partitions a spec's job grid into contiguous shards,
  * hands shards to workers over the frame protocol (fleet/protocol.hh),
@@ -19,15 +18,8 @@
  *     merged as FAILED rows (structured error text, process attempt
  *     count) while the rest of the sweep completes.
  *
- * With an explicit node registry (fleet/nodes.hh) the failure model
- * graduates from "a worker died" to "a node vanished": every failure
- * is charged to its fault domain, consecutive failures back a node
- * off exponentially and then quarantine it, and in-flight shards
- * *migrate* — pulled back to Pending without burning their retry
- * budget, replayed elsewhere with identical seeds, so the merged
- * document stays byte-identical no matter which nodes died when.
- * STFM_NETFAULT (fleet/netfault.hh) injects deterministic partition
- * faults into exactly this machinery for CI chaos coverage.
+ * Workers are fork/exec'd children talking over a pipe pair; the
+ * per-shard retry budget is the only failure policy.
  *
  * Determinism: process-level retries replay a shard with identical
  * seeds — crash-class faults are environmental, so the replay must
@@ -48,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "fleet/nodes.hh"
 #include "harness/experiment.hh"
 
 namespace stfm
@@ -98,24 +89,6 @@ struct FleetOptions
      * in ways STFM_FAULT cannot express).
      */
     std::vector<std::string> workerArgv;
-    /**
-     * Placement targets (fleet/nodes.hh). Empty = the implicit single
-     * "local" fault domain: LocalExecutor, no node-level health
-     * accounting — exactly the pre-executor single-machine behavior.
-     * Non-empty = every worker launches through a RemoteExecutor
-     * (loopback `sh -c` unless the node names a launch template) and
-     * node fault domains are live.
-     */
-    std::vector<NodeSpec> nodeSpecs;
-    /** Node registry file (stfm-nodes-v1), prepended to nodeSpecs. */
-    std::string nodesFile;
-    /** Consecutive node failures before quarantine. */
-    unsigned nodeQuarantineAfter = 3;
-    /** Base node backoff after a failure, seconds; doubles per
-     *  consecutive failure up to nodeBackoffCapSec. */
-    double nodeBackoffSec = 0.25;
-    /** Ceiling on the node backoff, seconds. */
-    double nodeBackoffCapSec = 30.0;
 };
 
 /** Supervisor observability counters (docs/METRICS.md `fleet.*`). */
@@ -132,13 +105,6 @@ struct FleetStats
     std::uint64_t heartbeats = 0;      ///< Heartbeat frames received.
     std::uint64_t sigkills = 0;        ///< Workers killed by SIGKILL
                                        ///< (likely the OOM killer).
-    std::uint64_t migrations = 0;      ///< Shards pulled off a dying
-                                       ///< node (retry budget intact).
-    std::uint64_t launchFailures = 0;  ///< Worker launches that failed
-                                       ///< at the node (charged to the
-                                       ///< node, never the shard).
-    std::uint64_t nodesQuarantined = 0;///< Nodes taken out of rotation.
-    std::uint64_t netfaults = 0;       ///< STFM_NETFAULT events fired.
 };
 
 /** Everything a sharded execution produced. */

@@ -98,20 +98,7 @@ printUsage(std::ostream &os)
           "  --checkpoint DIR  append completed shards to DIR/manifest.jsonl\n"
           "  --resume          replay checkpointed shards, run the rest\n"
           "  --strict          exit 2 when any shard is merged as FAILED\n"
-          "  --quiet           suppress per-shard progress/ETA on stderr\n"
-          "  --nodes FILE      node registry (stfm-nodes-v1) of placement\n"
-          "                    targets; engages remote executors and\n"
-          "                    node fault domains (docs/FLEET.md)\n"
-          "  --node NAME[:SLOTS]\n"
-          "                    add one node (repeatable; loopback\n"
-          "                    launcher unless the registry names one)\n"
-          "  --node-backoff SEC\n"
-          "                    base node backoff after a charged\n"
-          "                    failure, doubling per consecutive\n"
-          "                    failure (default 0.25)\n"
-          "  --node-quarantine-after N\n"
-          "                    consecutive node failures before\n"
-          "                    quarantine (default 3)\n";
+          "  --quiet           suppress per-shard progress/ETA on stderr\n";
 }
 
 std::string
@@ -210,21 +197,6 @@ parseRunFlags(const char *command, int argc, char **argv, int first)
             flags.fleetMode = true;
         } else if (arg == "--resume") {
             flags.fleetOptions.resume = true;
-            flags.fleetMode = true;
-        } else if (arg == "--nodes" && i + 1 < argc) {
-            flags.fleetOptions.nodesFile = argv[++i];
-            flags.fleetMode = true;
-        } else if (arg == "--node" && i + 1 < argc) {
-            flags.fleetOptions.nodeSpecs.push_back(
-                fleet::parseNodeFlag(argv[++i]));
-            flags.fleetMode = true;
-        } else if (arg == "--node-backoff" && i + 1 < argc) {
-            flags.fleetOptions.nodeBackoffSec =
-                parseSecondsFlag(arg, argv[++i]);
-            flags.fleetMode = true;
-        } else if (arg == "--node-quarantine-after" && i + 1 < argc) {
-            flags.fleetOptions.nodeQuarantineAfter =
-                parseUnsignedFlag(arg, argv[++i]);
             flags.fleetMode = true;
         } else if (arg == "--strict") {
             flags.strict = true;

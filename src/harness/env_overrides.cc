@@ -91,8 +91,6 @@ EnvOverrides::toJson() const
         out.set("STFM_REFERENCE", true);
     if (check)
         out.set("STFM_CHECK", true);
-    if (jobs)
-        out.set("STFM_JOBS", *jobs);
     if (telemetry) {
         out.set("STFM_TELEMETRY",
                 telemetryOutput.empty() ? std::string("1")

@@ -22,10 +22,12 @@
  *
  * EnvOverrides::capture() snapshots them once, apply() layers them onto
  * a resolved SimConfig at spec-resolution time, and toJson() records
- * exactly which overrides took effect so a results file is
- * self-describing. "0"/empty means unset for the boolean variables,
- * matching the historical behavior of the scattered getenv() calls this
- * helper replaces.
+ * which behaviour-changing overrides took effect so a results file is
+ * self-describing. STFM_JOBS only sets host parallelism, which never
+ * changes a result, so it is not recorded: the same spec yields the
+ * same document at any pool width. "0"/empty means unset for the
+ * boolean variables, matching the historical behavior of the
+ * scattered getenv() calls this helper replaces.
  */
 
 #ifndef STFM_HARNESS_ENV_OVERRIDES_HH
@@ -82,7 +84,7 @@ struct EnvOverrides
 
     /**
      * The active overrides as a JSON object (only the variables that
-     * are set appear), for the results-file echo.
+     * are set appear, STFM_JOBS never), for the results-file echo.
      */
     Json toJson() const;
 };

@@ -121,7 +121,7 @@ timingJson(const SweepTiming &t)
     return out;
 }
 
-/** One trajectory entry (the legacy snapshot layout + label/scaling). */
+/** One trajectory entry. */
 Json
 entryJson(const PerfBenchOptions &options, unsigned jobs,
           const SweepTiming &ref, const SweepTiming &opt, bool bit_exact,
@@ -147,12 +147,10 @@ entryJson(const PerfBenchOptions &options, unsigned jobs,
 }
 
 /**
- * Load the trajectory entries already at @p path. Three shapes are
- * accepted: no file (fresh trajectory), a trajectory object
- * ({"schema": "stfm-perf-trajectory-v1", "entries": [...]}), and the
- * pre-trajectory single snapshot this format replaced — recognized by
- * its top-level "speedup_wall_clock" — which becomes the first entry,
- * labeled with the PR that committed it so history isn't lost.
+ * Load the trajectory entries already at @p path: none when the file
+ * does not exist, else the entries of a trajectory object
+ * ({"schema": "stfm-perf-trajectory-v1", "entries": [...]}). Anything
+ * else is refused rather than overwritten.
  */
 Json
 loadEntries(const std::string &path)
@@ -171,20 +169,8 @@ loadEntries(const std::string &path)
         }
         return existing.at("entries", path);
     }
-    if (existing.has("speedup_wall_clock")) {
-        // Legacy single-snapshot BENCH_perf.json (committed by the PR
-        // that built the fast-forward path).
-        Json legacy = Json::object();
-        legacy.set("label", "PR 2");
-        for (const auto &kv : existing.asObject(path))
-            legacy.set(kv.first, kv.second);
-        legacy.set("thread_scaling", Json::array());
-        Json entries = Json::array();
-        entries.push(std::move(legacy));
-        return entries;
-    }
-    throw SimError("'" + path + "' is neither a perf trajectory nor a "
-                   "legacy snapshot — refusing to append");
+    throw SimError("'" + path + "' is not a perf trajectory — refusing "
+                   "to append");
 }
 
 } // namespace

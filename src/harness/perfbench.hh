@@ -56,10 +56,9 @@ PerfBenchOptions perfBenchOptionsFromEnv();
 
 /**
  * Run the benchmark and append the result entry to the trajectory
- * file. A pre-trajectory single-snapshot file at outPath is converted
- * in place into a trajectory whose first entry is labeled "PR 2" (the
- * PR that introduced the snapshot). Prints progress to stdout.
- * Returns 0 when the two paths were bit-exact, 1 otherwise.
+ * file; a file at outPath that is not a trajectory is refused with a
+ * SimError. Prints progress to stdout. Returns 0 when the two paths
+ * were bit-exact, 1 otherwise.
  */
 int runPerfBench(const PerfBenchOptions &options);
 

@@ -174,17 +174,7 @@ telemetryCatalog()
          "heartbeat frames received from busy workers"},
         {"fleet.sigkills", "counter", "events", "fleet",
          "workers killed by SIGKILL mid-shard (likely the OOM killer "
-         "on the node; counted inside fleet.crashes too)"},
-        {"fleet.migrations", "counter", "shards", "fleet",
-         "in-flight shards pulled off a dead or quarantined node and "
-         "replayed elsewhere (retry budget untouched)"},
-        {"fleet.launchFailures", "counter", "events", "fleet",
-         "worker launches that failed at the node (charged to the "
-         "node's fault domain, never to a shard)"},
-        {"fleet.nodes.quarantined", "counter", "nodes", "fleet",
-         "nodes taken out of placement after consecutive failures"},
-        {"fleet.netfaults", "counter", "events", "fleet",
-         "injected STFM_NETFAULT events that fired this run"},
+         "on the host; counted inside fleet.crashes too)"},
     };
     return catalog;
 }

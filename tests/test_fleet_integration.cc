@@ -41,15 +41,6 @@ constexpr const char *kSpecText = R"({
     "budget": 4000
 })";
 
-/** Four jobs, so netfault scenarios get enough shards to both lose a
- *  node mid-sweep and finish the rest of the work elsewhere. */
-constexpr const char *kWideSpecText = R"({
-    "name": "fleet_it_wide",
-    "workloads": [["mcf", "h264ref"], ["mcf", "hmmer"]],
-    "schedulers": ["FR-FCFS", "STFM"],
-    "budget": 4000
-})";
-
 /** Worker argv for the built CLI, or empty when STFM_CLI is unset. */
 std::vector<std::string>
 workerArgv()
@@ -73,34 +64,6 @@ class FaultGuard
         setenv("STFM_FAULT", plan, 1);
     }
     ~FaultGuard() { unsetenv("STFM_FAULT"); }
-};
-
-/** Sets STFM_NETFAULT for the supervisor; always cleans up. */
-class NetFaultGuard
-{
-  public:
-    explicit NetFaultGuard(const char *plan)
-    {
-        setenv("STFM_NETFAULT", plan, 1);
-    }
-    ~NetFaultGuard() { unsetenv("STFM_NETFAULT"); }
-};
-
-/** A throwaway file under the gtest temp dir. */
-class TempFile
-{
-  public:
-    TempFile(const std::string &name, const std::string &contents)
-        : path_(std::string(::testing::TempDir()) + name)
-    {
-        std::ofstream out(path_, std::ios::binary);
-        out << contents;
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
 };
 
 /** A fresh checkpoint directory under the gtest temp dir. */
@@ -183,11 +146,14 @@ TEST(FleetIntegration, CountersRecordPerShardWallClock)
     const Json doc = Json::parse(text.str());
     EXPECT_EQ(doc.at("schema", "counters").asString(),
               "stfm-fleet-counters-v1");
+    EXPECT_TRUE(doc.at("final", "counters").asBool());
+    EXPECT_FALSE(doc.has("nodes"));
     const Json &shards = doc.at("shards", "counters");
     ASSERT_EQ(shards.size(), 2u);
     std::uint64_t jobs = 0;
     for (std::size_t i = 0; i < shards.size(); ++i) {
         const Json &record = shards.at(i);
+        EXPECT_FALSE(record.has("node"));
         EXPECT_EQ(record.at("shard", "record").asUint(), i);
         EXPECT_EQ(record.at("status", "record").asString(), "done");
         EXPECT_EQ(record.at("attempts", "record").asUint(), 1u);
@@ -454,186 +420,6 @@ TEST(FleetIntegration, AloneBaselinesAreSharedThroughTheManifest)
         << "baselines should be checkpointed for cross-shard reuse";
 }
 
-// Node fault domains / remote executors ------------------------------
-
-/** Two loopback single-slot nodes: the smallest real fault-domain
- *  topology (something to migrate off of, somewhere to land). */
-std::vector<NodeSpec>
-nodePair()
-{
-    NodeSpec n0, n1;
-    n0.name = "n0";
-    n1.name = "n1";
-    return {n0, n1};
-}
-
-TEST(FleetIntegration, RemoteLoopbackRunIsByteIdenticalToInProcess)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.interrupted);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_EQ(outcome.stats.shardsCompleted, 2u);
-    // The transport is invisible to the workers and to the merge.
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, NodeRegistryFileDrivesPlacementAndProvenance)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    TempDir checkpoint("fleet_it_registry");
-    TempFile registry("fleet_it_nodes.json",
-                      R"({"schema": "stfm-nodes-v1", "nodes": [)"
-                      R"({"name": "n0", "slots": 2},)"
-                      R"({"name": "n1"}]})");
-    options.checkpoint = checkpoint.path();
-    options.nodesFile = registry.path();
-    options.shards = 2;
-    options.workers = 2;
-
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-
-    std::ifstream in(checkpoint.path() + "/fleet_counters.json",
-                     std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    std::ostringstream text;
-    text << in.rdbuf();
-    const Json doc = Json::parse(text.str());
-    EXPECT_TRUE(doc.at("final", "counters").asBool());
-    const Json &shards = doc.at("shards", "counters");
-    ASSERT_EQ(shards.size(), 2u);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const std::string node =
-            shards.at(i).at("node", "record").asString();
-        EXPECT_TRUE(node == "n0" || node == "n1") << node;
-    }
-    const Json &nodes = doc.at("nodes", "counters");
-    ASSERT_EQ(nodes.size(), 2u);
-    std::uint64_t dispatches = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        EXPECT_EQ(nodes.at(i).at("transport", "node").asString(),
-                  "remote");
-        EXPECT_FALSE(nodes.at(i).at("quarantined", "node").asBool());
-        dispatches += nodes.at(i).at("dispatches", "node").asUint();
-    }
-    EXPECT_EQ(dispatches, 2u); // One per shard, no replays.
-}
-
-TEST(FleetIntegration, DroppedDispatchTripsLivenessAndReplays)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-    options.livenessSec = 0.5;
-    // Under sanitizers + parallel test load, retries can land back on
-    // n0 before n1 frees up; give the shard budget to ride that out.
-    options.retries = 6;
-
-    // The first dispatch toward n0 is lost in flight: its worker
-    // idles on a unit the supervisor believes is running, so the
-    // liveness window must reclaim and replay the shard.
-    NetFaultGuard net("drop@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.hangs, 1u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, StalledNodeGoesDarkAndTheShardReplaysElsewhere)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-    options.livenessSec = 0.5;
-    // The stalled node stays placeable until its hang charges reach
-    // quarantine (3); every one of those can burn a shard attempt, so
-    // the budget must outlast the charge path with margin to spare.
-    options.retries = 6;
-
-    // One-way partition: n0 keeps receiving dispatches but every byte
-    // it sends back (heartbeats, results) is discarded.
-    NetFaultGuard net("stall@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.hangs, 1u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, SeveredNodeIsQuarantinedAndShardsMigrate)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kWideSpecText);
-    options.shards = 4;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-
-    // n0 vanishes at its very first dispatch: the in-flight shard must
-    // migrate (retry budget untouched), later launch attempts must be
-    // charged to the node until it is quarantined, and the whole sweep
-    // must still merge byte-identically off the surviving node.
-    NetFaultGuard net("sever@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.migrations, 1u);
-    EXPECT_GE(outcome.stats.launchFailures, 1u);
-    EXPECT_EQ(outcome.stats.nodesQuarantined, 1u);
-    EXPECT_EQ(outcome.stats.shardsCompleted, 4u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, FlappingNodeBacksOffOnceAndRejoins)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kWideSpecText);
-    options.shards = 4;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-
-    // A transient partition: n0 dies at its first dispatch but heals
-    // as soon as a launch attempt notices. It must rejoin after one
-    // backoff — never quarantined, never charged a failure.
-    NetFaultGuard net("flap@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.migrations, 1u);
-    EXPECT_GE(outcome.stats.launchFailures, 1u);
-    EXPECT_EQ(outcome.stats.nodesQuarantined, 0u);
-    EXPECT_EQ(outcome.stats.shardsCompleted, 4u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
 TEST(FleetIntegration, SigkilledWorkerIsClassifiedAndRetried)
 {
     FleetOptions options = baseOptions();
@@ -686,8 +472,9 @@ TEST(FleetIntegration, PreNodeManifestResumesByteIdentically)
     const FleetOutcome first = runShardedExperiment(spec, options);
     EXPECT_TRUE(first.interrupted);
 
-    // Rewrite the manifest to the pre-provenance shape: shard records
-    // without a "node" key, as written before this schema addition.
+    // Rewrite the manifest to the shape older builds wrote: every
+    // shard record carries a trailing "node" provenance key, which the
+    // loader must ignore.
     const std::string manifestPath =
         checkpoint.path() + "/manifest.jsonl";
     std::string text;
@@ -697,14 +484,23 @@ TEST(FleetIntegration, PreNodeManifestResumesByteIdentically)
         buf << in.rdbuf();
         text = buf.str();
     }
-    const std::string needle = ",\"node\":\"local\"";
-    ASSERT_NE(text.find(needle), std::string::npos);
-    for (std::size_t at; (at = text.find(needle)) != std::string::npos;)
-        text.erase(at, needle.size());
+    ASSERT_EQ(text.find("\"node\""), std::string::npos);
+    std::istringstream lines(text);
+    std::string rewritten;
+    std::size_t tagged = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"type\":\"shard\"") != std::string::npos) {
+            ASSERT_EQ(line.back(), '}');
+            line.insert(line.size() - 1, ",\"node\":\"n0\"");
+            ++tagged;
+        }
+        rewritten += line + "\n";
+    }
+    ASSERT_EQ(tagged, 1u);
     {
         std::ofstream out(manifestPath,
                           std::ios::binary | std::ios::trunc);
-        out << text;
+        out << rewritten;
     }
 
     FleetOptions resume = options;

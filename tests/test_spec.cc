@@ -160,12 +160,29 @@ TEST(Spec, EnvOverridesFoldIntoResolution)
     EXPECT_TRUE(config.memory.controller.integrity.protocolCheck);
     EXPECT_TRUE(config.memory.controller.integrity.watchdog);
 
-    // The active overrides are recorded for the results echo.
+    // The active overrides are recorded for the results echo; host
+    // parallelism is not, since it never changes a result.
     const Json echo = env.toJson();
     EXPECT_EQ(echo.at("STFM_INSTRUCTIONS", "env").asInt("env"), 7777);
     EXPECT_TRUE(echo.has("STFM_REFERENCE"));
     EXPECT_TRUE(echo.has("STFM_CHECK"));
-    EXPECT_TRUE(echo.has("STFM_JOBS"));
+    EXPECT_FALSE(echo.has("STFM_JOBS"));
+}
+
+TEST(Spec, ResultsJsonDoesNotDependOnPoolWidth)
+{
+    EnvGuard guard;
+    const ExperimentSpec spec = specFromText(R"({
+        "name": "width",
+        "workloads": [["mcf", "hmmer"], ["mcf", "h264ref"]],
+        "schedulers": ["FR-FCFS", "STFM"],
+        "budget": 3000
+    })");
+    setenv("STFM_JOBS", "1", 1);
+    const std::string serial = resultsJson(runExperiment(spec)).dump();
+    setenv("STFM_JOBS", "3", 1);
+    const std::string pooled = resultsJson(runExperiment(spec)).dump();
+    EXPECT_EQ(serial, pooled);
 }
 
 TEST(Spec, SpecRunMatchesHandConstructedRunBitForBit)
