@@ -13,12 +13,17 @@ Core::Core(ThreadId id, const CoreParams &params, TraceSource &trace,
            MemoryPort &memory)
     : id_(id), params_(params), trace_(trace), memory_(memory),
       l1_(params.l1), l2_(params.l2), mshr_(params.mshrs),
-      window_(std::bit_ceil(std::uint64_t{params.windowSize}))
+      window_(std::bit_ceil(std::uint64_t{params.windowSize} +
+                            params.commitWidth))
 {
     STFM_ASSERT(params.windowSize > 0, "window size must be positive");
-    // The store is a power of two (>= windowSize) purely so slot
-    // lookup is a mask; at most windowSize entries are live at once,
-    // so every live position still maps to a distinct slot.
+    // The store is a power of two so slot lookup is a mask. It holds
+    // windowSize + commitWidth entries so a cycle runAhead() rolls back
+    // never overwrites a live slot: the cycle commits at most
+    // commitWidth entries and then fills the window at most windowSize
+    // past the new head, so every position it writes lies within
+    // windowSize + commitWidth of the old head, where live and written
+    // positions map to distinct slots.
     windowMask_ = window_.size() - 1;
 }
 
@@ -62,7 +67,7 @@ Core::tick(Cycles now)
     const std::uint64_t tail_before = tail_;
     const bool drained = drainWritebacks();
     commit(now);
-    fetch(now);
+    fetch(now, /*burst=*/false);
     return drained || head_ != head_before || tail_ != tail_before;
 }
 
@@ -109,47 +114,42 @@ Core::nextEventCycle(Cycles now, bool &stalls,
     if (aluCredit_ > 0 || !memPending_)
         return now + 1; // Would fetch an ALU op / refill the trace.
 
-    // A memory op is pending. Address dependence first.
-    if (pendingOp_.dependsOnPrev && lastMissPos_ != ~0ULL &&
-        lastMissPos_ >= head_) {
+    // A memory op is pending. Address dependence first; a producer
+    // waiting on DRAM wakes only externally.
+    if (depBlocked(now + 1)) {
         const WindowEntry &p = window_[lastMissPos_ & windowMask_];
-        if (p.memWait)
-            return wake; // Producer waits on DRAM (external).
-        if (p.readyAt > now + 1)
-            return std::min(wake, p.readyAt);
-        // Producer done by now + 1: issue is attempted.
+        return p.memWait ? wake : std::min(wake, p.readyAt);
     }
 
-    // Mirror issueMemOp() without side effects. Any issue attempt that
-    // succeeds, hits a cache, or merges an MSHR is progress.
-    const Addr line = pendingOp_.addr & ~(params_.l1.lineBytes - 1);
+    // Would issueMemOp() succeed? A cache hit, an MSHR merge or a
+    // streaming store (write capacity was checked above) always does.
     const bool is_store = pendingOp_.kind == TraceOp::Kind::Store;
-    if (is_store && pendingOp_.nonTemporal)
-        return now + 1; // Writeback capacity was checked above.
-    if (is_store) {
-        if (l2_.probe(line) || mshr_.has(line))
-            return now + 1;
-        if (mshr_.full() || !memory_.canAcceptRead(line)) {
-            // Structural stall; frees only externally (a column issue
-            // frees buffer capacity, a completion frees an MSHR).
-            waits_capacity = true;
-            return wake;
-        }
+    if (!memOpLeavesCore() || (is_store && pendingOp_.nonTemporal))
         return now + 1;
-    }
-    // Load path.
-    if (l1_.probe(line) || l2_.probe(line) || mshr_.has(line))
-        return now + 1;
-    if (mshr_.full()) {
-        // Frees when own data returns; flagged anyway — a spurious
-        // capacity wake is sound, a missed wake would not be.
+    // A new miss needs a free MSHR, and a store fill request-buffer
+    // room too; both free only externally (a completion frees an MSHR,
+    // a column issue frees buffer capacity). A load's full-MSHR wait is
+    // flagged as a capacity wait as well: a spurious capacity wake is
+    // sound, a missed wake would not be.
+    const Addr line = pendingOp_.addr & ~(params_.l1.lineBytes - 1);
+    if (mshr_.full() || (is_store && !memory_.canAcceptRead(line))) {
         waits_capacity = true;
         return wake;
     }
     // A load locked out of a full request buffer retries every cycle
     // *with* a policy side effect (noteEnqueueBlocked); it must not be
-    // skipped. A load that can issue is progress outright.
+    // skipped. A miss that can issue is progress outright.
     return now + 1;
+}
+
+bool
+Core::memOpLeavesCore() const
+{
+    const Addr line = pendingOp_.addr & ~(params_.l1.lineBytes - 1);
+    if (pendingOp_.kind == TraceOp::Kind::Store)
+        return pendingOp_.nonTemporal ||
+               (!l2_.probe(line) && !mshr_.has(line));
+    return !l1_.probe(line) && !l2_.probe(line) && !mshr_.has(line);
 }
 
 void
@@ -177,16 +177,16 @@ Core::commit(Cycles now)
     }
 }
 
-void
-Core::fetch(Cycles now)
+bool
+Core::fetch(Cycles now, bool burst)
 {
     fetchBlockedByMemory_ = false;
     bool mem_op_fetched = false;
     for (unsigned n = 0; n < params_.fetchWidth; ++n) {
         if (windowFull())
-            return;
+            return true;
         if (pendingWritebacks_.size() >= params_.maxPendingWritebacks)
-            return; // Backpressure from the write path.
+            return true; // Backpressure from the write path.
 
         // Refill the decode state from the trace.
         if (aluCredit_ == 0 && !memPending_) {
@@ -207,19 +207,20 @@ Core::fetch(Cycles now)
 
         STFM_ASSERT(memPending_, "decode state exhausted");
         if (mem_op_fetched)
-            return; // At most one memory operation per cycle (Table 2).
-        if (pendingOp_.dependsOnPrev && lastMissPos_ != ~0ULL &&
-            lastMissPos_ >= head_ && !entryDone(lastMissPos_, now)) {
-            return; // Address-dependent load: wait for the producer.
-        }
+            return true; // At most one memory op per cycle (Table 2).
+        if (depBlocked(now))
+            return true; // Address-dependent load: wait for the producer.
+        if (burst && memOpLeavesCore())
+            return false;
         if (!issueMemOp(now)) {
             // Structural stall (MSHRs / request buffer full).
             fetchBlockedByMemory_ = true;
-            return;
+            return true;
         }
         mem_op_fetched = true;
         memPending_ = false;
     }
+    return true;
 }
 
 bool
@@ -341,18 +342,19 @@ Core::handleFill(Addr line_addr, bool dirty, Cycles now)
 Cycles
 Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
 {
-    // Eligibility, all O(1): no buffered writeback (drain traffic
-    // interacts with controller write capacity every cycle), no
+    // Eligibility, both O(1): no buffered writeback (drain traffic
+    // interacts with controller write capacity every cycle) and no
     // memory-blocked fetch retry (that path has a per-cycle policy
-    // side effect, noteEnqueueBlocked), and a fetch width the slot-undo
-    // buffer can hold. Outstanding misses do NOT disqualify: executing
-    // in their shadow is core-local as long as every burst cycle stays
+    // side effect, noteEnqueueBlocked). With neither, tick()'s drain is
+    // a no-op for the whole burst: only a streaming store (which aborts
+    // the cycle) or a completion (kept out by @p end) can buffer a
+    // writeback. Outstanding misses do NOT disqualify: executing in
+    // their shadow is core-local as long as every burst cycle stays
     // stall-free (checked per cycle below) and no completion can land
     // inside the burst — which the caller guarantees by capping @p end
     // at the memory system's next interesting cycle while
     // mshrInUse() != 0 (see the header contract).
-    if (!pendingWritebacks_.empty() || fetchBlockedByMemory_ ||
-        params_.fetchWidth > kMaxBurstFetch)
+    if (!pendingWritebacks_.empty() || fetchBlockedByMemory_)
         return now;
 
     Cycles c = now;
@@ -365,7 +367,8 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
         // is a blocked L2 miss (in flight, merged, or still paying its
         // DRAM return-path overhead), this cycle would increment the
         // memory-stall counter — hand it back to the normal tick()
-        // path, whose quiescence machinery accounts it exactly.
+        // path, whose quiescence machinery accounts it exactly. Every
+        // cycle that runs below therefore accrues no stall in commit().
         if (head_ != tail_) {
             const WindowEntry &h = window_[head_ & windowMask_];
             if (h.l2Miss && (h.memWait || h.readyAt > c))
@@ -418,146 +421,20 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
                 }
             }
         }
+
         const std::uint64_t head0 = head_;
         const std::uint64_t tail0 = tail_;
         const std::uint64_t committed0 = committed_;
-
-        // Commit replica. The head is never a blocked L2 miss (checked
-        // at the top of the cycle; memWait implies l2Miss), so — unlike
-        // commit() — no memory stall can accrue.
-        for (unsigned n = 0; n < params_.commitWidth; ++n) {
-            if (head_ == tail_ ||
-                window_[head_ & windowMask_].readyAt > c)
-                break;
-            ++head_;
-            ++committed_;
-        }
-
-        // Fetch replica. Mirrors fetch()/issueMemOp() slot for slot,
-        // except the memory operation probes the caches first and the
-        // whole cycle is rolled back if it would leave the core (the
-        // pre-abort slots are ALU-only, so the rollback just returns
-        // their anonymous credits; trace decode state stays put, which
-        // is exactly where a cycle-by-cycle rerun would land).
-        //
-        // Slot writes must be undone too: once the commit replica's
-        // head advance is rolled back, a new tail position can alias a
-        // still-live slot (pos and pos - windowSize share backing), so
-        // each written slot's prior contents are saved. The aborting
-        // memory op itself writes nothing before the abort decision,
-        // leaving only the ALU slots (at most fetchWidth per cycle).
-        bool aborted = false;
-        bool mem_op_fetched = false;
-        std::uint64_t dep_block = ~0ULL;
-        unsigned alu_taken = 0;
-        WindowEntry slot_undo[kMaxBurstFetch];
-        for (unsigned n = 0; n < params_.fetchWidth; ++n) {
-            if (windowFull())
-                break;
-            if (aluCredit_ == 0 && !memPending_) {
-                pendingOp_ = trace_.next();
-                aluCredit_ = pendingOp_.aluBefore;
-                memPending_ = pendingOp_.kind != TraceOp::Kind::None;
-            }
-            if (aluCredit_ > 0) {
-                WindowEntry &e = window_[tail_ & windowMask_];
-                slot_undo[alu_taken] = e;
-                e.readyAt = c + 1;
-                e.memWait = false;
-                e.l2Miss = false;
-                ++tail_;
-                --aluCredit_;
-                ++alu_taken;
-                continue;
-            }
-            if (mem_op_fetched)
-                break; // At most one memory operation per cycle.
-            if (pendingOp_.dependsOnPrev && lastMissPos_ != ~0ULL &&
-                lastMissPos_ >= head_ && !entryDone(lastMissPos_, c)) {
-                dep_block = lastMissPos_;
-                break; // Wait for the producer (no memory touch).
-            }
-
-            const Addr line =
-                pendingOp_.addr & ~(params_.l1.lineBytes - 1);
-            if (pendingOp_.kind == TraceOp::Kind::Store) {
-                if (pendingOp_.nonTemporal) {
-                    aborted = true; // Streaming write: leaves the core.
-                    break;
-                }
-                if (l2_.probe(line)) {
-                    l2_.access(line, /*is_store=*/true);
-                    l1_.access(line, /*is_store=*/false); // LRU warm.
-                } else if (mshr_.has(line)) {
-                    // Store fill coalescing into an outstanding miss
-                    // stays core-local: issueMemOp() sends no request
-                    // on a merge, the entry just turns dirty. Replay
-                    // its exact access sequence (the L2 miss counts).
-                    l2_.access(line, /*is_store=*/true);
-                    mshr_.allocate(line, MshrFile::kNoWaiter,
-                                   /*dirty_fill=*/true);
-                } else {
-                    aborted = true; // New store fill: leaves the core.
-                    break;
-                }
-                WindowEntry &e = window_[tail_ & windowMask_];
-                e.readyAt = c + 1;
-                e.memWait = false;
-                e.l2Miss = false;
-            } else {
-                // Probe first (no counters, no slot writes); once the
-                // cycle is known to stay core-local, replay the exact
-                // access sequence of issueMemOp() so hit/miss counters
-                // match a cycle-by-cycle run. The aborted case bumps
-                // nothing here — the rerun through tick() bumps once.
-                WindowEntry &e = window_[tail_ & windowMask_];
-                if (l1_.probe(line)) {
-                    l1_.access(line, /*is_store=*/false);
-                    e.readyAt = c + params_.l1.latency;
-                    e.memWait = false;
-                    e.l2Miss = false;
-                } else if (l2_.probe(line)) {
-                    l1_.access(line, /*is_store=*/false); // Miss count.
-                    l2_.access(line, /*is_store=*/false);
-                    e.readyAt =
-                        c + params_.l1.latency + params_.l2.latency;
-                    e.memWait = false;
-                    e.l2Miss = false;
-                    l1_.fill(line, /*dirty=*/false);
-                } else if (mshr_.has(line)) {
-                    // Merged load: coalesces into the outstanding miss
-                    // without touching the memory system — exactly
-                    // issueMemOp()'s merge path (both cache misses
-                    // count; allocate() adds this waiter and bumps no
-                    // allocation). Woken by the eventual completion,
-                    // which the end cap keeps outside this burst.
-                    l1_.access(line, /*is_store=*/false);
-                    l2_.access(line, /*is_store=*/false);
-                    mshr_.allocate(line, tail_, /*dirty_fill=*/false);
-                    e.memWait = true;
-                    e.l2Miss = true;
-                    e.readyAt = kNever;
-                    lastMissPos_ = tail_;
-                } else {
-                    aborted = true; // New L2 miss: needs DRAM.
-                    break;
-                }
-                lastLoadPos_ = tail_;
-            }
-            ++tail_;
-            mem_op_fetched = true;
-            memPending_ = false;
-        }
-
-        if (aborted) {
-            // Only ALU slots can precede the aborting memory op (a
-            // merge never aborts, so no MSHR state needs undoing).
-            while (alu_taken > 0) {
-                --alu_taken;
-                --tail_;
-                window_[tail_ & windowMask_] = slot_undo[alu_taken];
-                ++aluCredit_;
-            }
+        commit(c);
+        if (!fetch(c, /*burst=*/true)) {
+            // The memory op would leave the core: roll the cycle back
+            // for tick() to rerun. fetch() stopped before touching it,
+            // so only ALU slots were taken; return their anonymous
+            // credits. Their slot writes need no undo — the window
+            // store's slack keeps them off every live slot (see the
+            // constructor) — and trace decode state stays put, which is
+            // exactly where the rerun lands.
+            aluCredit_ += static_cast<std::uint32_t>(tail_ - tail0);
             head_ = head0;
             tail_ = tail0;
             committed_ = committed0;
@@ -566,20 +443,21 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
 
         if (committed_ == committed0 && tail_ == tail0) {
             // Idle cycle: nothing commits or fetches until some
-            // readyAt arrives, and idle cycles in a burst are
-            // stall-free no-ops (a stalling head ended the burst
-            // above). Jump straight to the earliest unblocking time;
-            // if every blocker waits on DRAM, end the burst — only an
-            // external completion can revive the core.
+            // readyAt arrives — the head's, or the producer's of an
+            // address-dependent memory op that stopped fetch — and idle
+            // cycles in a burst are stall-free no-ops. Jump straight to
+            // the earliest unblocking time; if every blocker waits on
+            // DRAM, end the burst — only an external completion can
+            // revive the core.
             Cycles unblock = kNever;
             if (head_ != tail_) {
                 const WindowEntry &h = window_[head_ & windowMask_];
                 if (!h.memWait)
                     unblock = h.readyAt;
             }
-            if (dep_block != ~0ULL) {
+            if (!windowFull() && depBlocked(c)) {
                 const WindowEntry &p =
-                    window_[dep_block & windowMask_];
+                    window_[lastMissPos_ & windowMask_];
                 if (!p.memWait)
                     unblock = std::min(unblock, p.readyAt);
             }

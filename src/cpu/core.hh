@@ -107,18 +107,20 @@ class Core
      * cache hits stay core-local, and even in the shadow of outstanding
      * L2 misses, loads and store fills that coalesce into an existing
      * MSHR entry never leave the core. This executes cycles
-     * [@p now, ...) in a tight loop — batching steady ALU stretches in
-     * closed form and jumping idle (dependence- or latency-blocked)
-     * stretches analytically — stopping *before* the first cycle that
-     * would touch the memory system (a new L2 miss, a new store fill, a
-     * non-temporal store), before the first *stall* cycle (the oldest
-     * instruction a blocked L2 miss — the cycle a completion matters
-     * and the stall counter must advance), before any cycle that could
-     * push the committed-instruction count to @p commit_cap (so the
-     * caller's per-cycle snapshot/freeze scan still fires on the exact
-     * cycle), and at @p end. A cycle that turns out to touch memory is
-     * rolled back untouched and re-executed later through the normal
-     * tick() path at the correct global cycle.
+     * [@p now, ...) in a tight loop of the same commit()/fetch() step
+     * tick() runs — batching steady ALU stretches in closed form and
+     * jumping idle (dependence- or latency-blocked) stretches
+     * analytically — stopping *before* the first cycle that would touch
+     * the memory system (memOpLeavesCore(): a new L2 miss, a new store
+     * fill, a non-temporal store), before the first *stall* cycle (the
+     * oldest instruction a blocked L2 miss — the cycle a completion
+     * matters and the stall counter must advance), before any cycle
+     * that could push the committed-instruction count to @p commit_cap
+     * (so the caller's per-cycle snapshot/freeze scan still fires on
+     * the exact cycle), and at @p end. fetch() declines a memory op
+     * that would leave the core before touching anything; that cycle is
+     * rolled back and re-executed later through tick() at the correct
+     * global cycle.
      *
      * When mshrInUse() != 0 the caller MUST cap @p end at the earliest
      * cycle a completion for this thread could be *observed*
@@ -176,12 +178,22 @@ class Core
         return !e.memWait && e.readyAt <= now;
     }
 
-    /** Fetch-width ceiling for runAhead's per-cycle slot-undo buffer;
-     *  wider cores just skip burst execution (correct, slower). */
-    static constexpr unsigned kMaxBurstFetch = 8;
+    /** The pending memory op is address-dependent on an L2-missing
+     *  load still unfinished at @p now. */
+    bool depBlocked(Cycles now) const
+    {
+        return pendingOp_.dependsOnPrev && lastMissPos_ != ~0ULL &&
+               lastMissPos_ >= head_ && !entryDone(lastMissPos_, now);
+    }
+    /** Whether issuing the pending memory op would reach the memory
+     *  system: a streaming store, a store missing the L2 and the MSHRs,
+     *  or a load missing the L1, the L2 and the MSHRs. */
+    bool memOpLeavesCore() const;
 
     void commit(Cycles now);
-    void fetch(Cycles now);
+    /** @return false, with the memory op untouched, when @p burst and
+     *  the pending memory op would leave the core (runAhead aborts). */
+    bool fetch(Cycles now, bool burst);
     /** @return false if the memory op must retry next cycle. */
     bool issueMemOp(Cycles now);
     void handleFill(Addr line_addr, bool dirty, Cycles now);
@@ -197,9 +209,9 @@ class Core
     MshrFile mshr_;
 
     std::vector<WindowEntry> window_;
-    /** window_.size() - 1; the backing store is rounded up to a power
-     *  of two so position-to-slot mapping is a mask, not a divide.
-     *  Capacity checks still use params_.windowSize exactly. */
+    /** window_.size() - 1: position-to-slot mapping is a mask. The
+     *  store's size is an invariant runAhead() relies on (see the
+     *  constructor); capacity checks use params_.windowSize. */
     std::uint64_t windowMask_ = 0;
     std::uint64_t head_ = 0; ///< Position of the oldest instruction.
     std::uint64_t tail_ = 0; ///< Position one past the youngest.

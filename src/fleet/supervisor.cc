@@ -913,7 +913,7 @@ class Supervisor
             record.set("status",
                        shard.status == ShardStatus::Failed ? "failed"
                        : shard.status != ShardStatus::Done ? "pending"
-                       : shard.attempts == 0                ? "resumed"
+                       : !shard.dispatched                  ? "resumed"
                                                             : "done");
             record.set("jobs", static_cast<std::uint64_t>(shard.jobs()));
             record.set("attempts", shard.attempts);

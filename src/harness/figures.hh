@@ -2,7 +2,7 @@
  * @file
  * The figure registry: every paper figure/table the repo reproduces,
  * addressable by name from the stfm CLI (`stfm fig09`, `stfm list
- * figures`) and from the thin bench/ wrapper binaries.
+ * figures`).
  *
  * Two kinds of figures:
  *  - spec-driven: the figure is a named ExperimentSpec (workloads x

@@ -4,9 +4,8 @@
  * the declarative (workload x scheduler) experiment grid: the fig03
  * idleness schedule (hand-built staggered traces), the fig05 pairing
  * sweep, fig14's per-assignment weight tables, fig15's alpha series,
- * the calibration tables and the design-choice ablations. Bodies moved
- * verbatim from the historical bench/ binaries; bench/ keeps one thin
- * wrapper per figure.
+ * the calibration tables and the design-choice ablations. Each runs
+ * as `stfm <figure>`.
  */
 
 #include "harness/figures.hh"

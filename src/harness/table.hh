@@ -1,6 +1,6 @@
 /**
  * @file
- * Column-aligned plain-text table printer used by the bench binaries to
+ * Column-aligned plain-text table printer the figure commands use to
  * emit the rows/series of the paper's figures and tables.
  */
 

@@ -223,7 +223,7 @@ struct SchedulerConfig
     /** Include the paper's per-event DRAM-bus interference term (tbus
      *  charged to ready-column losers). Off by default: the per-cycle
      *  estimator already attributes bus-occupancy delay, so the event
-     *  charge double-counts (see bench/ablation_stfm). */
+     *  charge double-counts (see `stfm ablation_stfm`). */
     bool busInterference = false;
     /** Use the request-level Tinterference estimator (ablation; the
      *  default per-cycle estimator is more robust under saturation). */

@@ -688,9 +688,10 @@ validateConfig(const SimConfig &config)
     // Core -----------------------------------------------------------
     check(problems,
           cpu.windowSize >= 1 && cpu.fetchWidth >= 1 &&
-              cpu.commitWidth >= 1 && cpu.mshrs >= 1,
-          "cpu: windowSize, fetchWidth, commitWidth and mshrs must be "
-          "positive");
+              cpu.commitWidth >= 1 && cpu.mshrs >= 1 &&
+              cpu.maxPendingWritebacks >= 1,
+          "cpu: windowSize, fetchWidth, commitWidth, mshrs and "
+          "maxPendingWritebacks must be positive");
     const std::pair<const char *, const CacheParams *> caches[] = {
         {"l1", &cpu.l1}, {"l2", &cpu.l2}};
     for (const auto &[label, cache] : caches) {

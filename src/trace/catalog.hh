@@ -7,9 +7,9 @@
  * row-buffer hit rate, intensity category) and the behavioral traits
  * the paper describes in prose (burstiness, bank-access balance,
  * memory-level parallelism). The synthetic trace generator turns a
- * profile into an address stream with those properties; the
- * `table3_characteristics` bench verifies the calibration by measuring
- * MCPI / MPKI / row-buffer hit rate of each benchmark running alone.
+ * profile into an address stream with those properties; `stfm table3`
+ * verifies the calibration by measuring MCPI / MPKI / row-buffer hit
+ * rate of each benchmark running alone.
  */
 
 #ifndef STFM_TRACE_CATALOG_HH

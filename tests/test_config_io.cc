@@ -165,6 +165,11 @@ TEST(ConfigIo, RejectsBufferMisSizing)
     config.memory.controller.writeDrainLow =
         config.memory.controller.writeDrainHigh;
     EXPECT_TRUE(mentions(validateConfig(config), "writeDrain"));
+
+    // A core with no writeback buffer can never fetch.
+    config = SimConfig::baseline(4);
+    config.cpu.maxPendingWritebacks = 0;
+    EXPECT_TRUE(mentions(validateConfig(config), "maxPendingWritebacks"));
 }
 
 TEST(ConfigIo, RejectsNonPowerOfTwoGeometry)

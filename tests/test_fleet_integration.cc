@@ -109,6 +109,29 @@ referenceBytes(const ExperimentSpec &spec)
     return resultsJson(runExperiment(spec)).dump();
 }
 
+/** The fleet_counters.json document a checkpointed run left behind. */
+Json
+readCounters(const TempDir &checkpoint)
+{
+    std::ifstream in(checkpoint.path() + "/fleet_counters.json",
+                     std::ios::binary);
+    EXPECT_TRUE(in.is_open());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return Json::parse(text.str());
+}
+
+/** Number of per-shard records in @p counters labelled @p status. */
+std::size_t
+shardsLabelled(const Json &counters, const std::string &status)
+{
+    const Json &shards = counters.at("shards", "counters");
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < shards.size(); ++i)
+        n += shards.at(i).at("status", "record").asString() == status;
+    return n;
+}
+
 TEST(FleetIntegration, CleanShardedRunIsByteIdenticalToInProcess)
 {
     FleetOptions options = baseOptions();
@@ -138,12 +161,7 @@ TEST(FleetIntegration, CountersRecordPerShardWallClock)
     const FleetOutcome outcome = runShardedExperiment(spec, options);
     EXPECT_FALSE(outcome.anyFailed());
 
-    std::ifstream in(checkpoint.path() + "/fleet_counters.json",
-                     std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    std::ostringstream text;
-    text << in.rdbuf();
-    const Json doc = Json::parse(text.str());
+    const Json doc = readCounters(checkpoint);
     EXPECT_EQ(doc.at("schema", "counters").asString(),
               "stfm-fleet-counters-v1");
     EXPECT_TRUE(doc.at("final", "counters").asBool());
@@ -361,6 +379,11 @@ TEST(FleetIntegration, InterruptedRunResumesToByteIdenticalOutput)
     EXPECT_EQ(second.stats.shardsCompleted, 1u);
     EXPECT_EQ(resultsJson(second.result).dump(),
               referenceBytes(spec));
+    // A shard replayed from the manifest is labelled by what this run
+    // did with it, not by the attempts the manifest restored.
+    Json counters = readCounters(checkpoint);
+    EXPECT_EQ(shardsLabelled(counters, "resumed"), 1u);
+    EXPECT_EQ(shardsLabelled(counters, "done"), 1u);
 
     // Resuming a fully checkpointed sweep re-simulates nothing.
     const FleetOutcome third = runShardedExperiment(spec, resume);
@@ -368,6 +391,8 @@ TEST(FleetIntegration, InterruptedRunResumesToByteIdenticalOutput)
     EXPECT_EQ(third.stats.shardsCompleted, 0u);
     EXPECT_EQ(resultsJson(third.result).dump(),
               referenceBytes(spec));
+    counters = readCounters(checkpoint);
+    EXPECT_EQ(shardsLabelled(counters, "resumed"), 2u);
 }
 
 TEST(FleetIntegration, ResumeRejectsADifferentExperiment)

@@ -447,6 +447,20 @@ TEST(FastForwardSoak, RandomSeedsStayBitExact)
         for (unsigned t = 0; t < cores; ++t)
             profiles.push_back(randomProfile(rng));
 
+        // Core shape, off the Table 2 defaults. Equal widths half the
+        // time: the closed-form ALU batch only runs at equal widths.
+        constexpr unsigned kWidths[] = {1, 2, 3, 4, 12};
+        constexpr unsigned kWindows[] = {4, 16, 128};
+        constexpr unsigned kMshrs[] = {1, 4, 64};
+        CoreParams &cpu = config.cpu;
+        cpu.fetchWidth = kWidths[rng.nextBelow(5)];
+        cpu.commitWidth = rng.nextBool(0.5) ? cpu.fetchWidth
+                                            : kWidths[rng.nextBelow(5)];
+        cpu.windowSize = kWindows[rng.nextBelow(3)];
+        cpu.mshrs = kMshrs[rng.nextBelow(3)];
+        cpu.maxPendingWritebacks =
+            1 + static_cast<unsigned>(rng.nextBelow(8));
+
         SimConfig reference = config;
         reference.fastForward = false;
         SimConfig fast = config;
@@ -454,7 +468,12 @@ TEST(FastForwardSoak, RandomSeedsStayBitExact)
 
         SCOPED_TRACE(std::string("iter ") + std::to_string(iter) +
                      " seed " + std::to_string(seed) + " " +
-                     toString(config.scheduler.kind));
+                     toString(config.scheduler.kind) + " widths " +
+                     std::to_string(cpu.fetchWidth) + "/" +
+                     std::to_string(cpu.commitWidth) + " window " +
+                     std::to_string(cpu.windowSize) + " mshrs " +
+                     std::to_string(cpu.mshrs) + " writebacks " +
+                     std::to_string(cpu.maxPendingWritebacks));
         const SimResult ref = runOnce(reference, profiles, seed);
         const SimResult opt = runOnce(fast, profiles, seed);
         expectIdenticalResults(ref, opt);
