@@ -425,9 +425,18 @@ class Parser
     Json
     parseValue()
     {
-        switch (peek()) {
-        case '{': return parseObject();
-        case '[': return parseArray();
+        const char c = peek();
+        if (c == '{' || c == '[') {
+            // Bounded recursion: hostile input must fail cleanly, not
+            // overflow the stack.
+            if (++depth_ > kMaxDepth)
+                fail(formatMessage("nesting deeper than %zu levels",
+                                   kMaxDepth));
+            Json out = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return out;
+        }
+        switch (c) {
         case '"': return Json(parseString());
         case 't': expectLiteral("true"); return Json(true);
         case 'f': expectLiteral("false"); return Json(false);
@@ -597,8 +606,12 @@ class Parser
         }
     }
 
+    /** Deepest array/object nesting accepted. */
+    static constexpr std::size_t kMaxDepth = 256;
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
 } // namespace

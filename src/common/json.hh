@@ -127,8 +127,9 @@ class Json
 
 /**
  * Write @p json pretty-printed (2-space indent, trailing newline) to
- * @p path — the one writer behind every machine-readable artifact
- * (results files, BENCH_perf.json). @throws SimError on I/O failure.
+ * @p path — the one writer behind every machine-readable artifact the
+ * simulator emits (results, reports, telemetry, traces).
+ * @throws SimError on I/O failure.
  */
 void writeJsonFile(const Json &json, const std::string &path);
 

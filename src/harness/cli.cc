@@ -13,7 +13,6 @@
 #include "fleet/worker.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
-#include "harness/perfbench.hh"
 #include "harness/spec.hh"
 #include "dram/device_spec.hh"
 #include "obs/telemetry.hh"
@@ -43,9 +42,6 @@ printUsage(std::ostream &os)
           "  list figures              registered paper figures\n"
           "  list telemetry            the telemetry series catalog\n"
           "  list devices              built-in DRAM device presets\n"
-          "  bench [flags]             time the fig09 sweep on both\n"
-          "                            paths, append a perf-trajectory\n"
-          "                            entry to BENCH_perf.json\n"
           "  report <paths...> [flags] fold sweep artifacts (results\n"
           "                            JSON, manifest.jsonl, telemetry)\n"
           "                            into a stfm-report-v1 rollup\n"
@@ -79,18 +75,13 @@ printUsage(std::ostream &os)
           "  --trace PATH      export a Chrome trace (docs/TRACING.md)\n"
           "  --device NAME     run on a DRAM device preset or spec file\n"
           "                    (see `stfm list devices`)\n"
-          "  --full            full-size sweep (sampled figures)\n"
+          "  --full            full-size sweep (figures only)\n"
           "\n"
-          "flags (bench; docs/EXPERIMENTS.md, perf methodology):\n"
-          "  --label NAME      trajectory entry label (default: local)\n"
-          "  --out PATH        trajectory file (default: BENCH_perf.json)\n"
-          "  --workloads N     sweep width (default 32 = fig09 sample)\n"
-          "  --scaling LIST    thread-scaling points, e.g. 1,2,4\n"
-          "  --jobs N          worker-pool width for the main sweeps\n"
-          "  --instructions N  per-thread instruction-budget override\n"
-          "\n"
-          "fleet flags (run only; any of them engages the supervised\n"
-          "worker-process pool, see docs/ARCHITECTURE.md):\n"
+          "fleet flags (run and spec-driven figures; any of them engages\n"
+          "the supervised worker-process pool, see docs/ARCHITECTURE.md).\n"
+          "Custom figures ([custom] in `stfm list figures`) write no\n"
+          "results document and cannot shard: they refuse --json and\n"
+          "these flags:\n"
           "  --shards N        shard count (default: one per result row)\n"
           "  --workers N       concurrent worker processes\n"
           "  --retries N       process-level retries per shard (default 2)\n"
@@ -112,11 +103,13 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/** Shared flag parsing for `run` and `validate`. */
+/** Shared flag parsing for `run`, `validate` and the figures. */
 struct RunFlags
 {
     std::string specPath;
     std::string jsonPath;
+    /** --full: full-size sweep (figures only). */
+    bool full = false;
     /** Any fleet flag was given: run through the worker pool. */
     bool fleetMode = false;
     /** FAILED shards make the exit code nonzero. */
@@ -168,11 +161,16 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
+/**
+ * Parse `stfm <command>`'s flags from argv[2] on. A figure is its own
+ * spec, so it takes no spec path; only a figure takes --full.
+ */
 RunFlags
-parseRunFlags(const char *command, int argc, char **argv, int first)
+parseRunFlags(const std::string &command, int argc, char **argv,
+              bool figure = false)
 {
     RunFlags flags;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc) {
             flags.jsonPath = argv[++i];
@@ -217,9 +215,14 @@ parseRunFlags(const char *command, int argc, char **argv, int first)
             setenv("STFM_TRACE", argv[++i], 1);
         } else if (arg == "--device" && i + 1 < argc) {
             setenv("STFM_DEVICE", argv[++i], 1);
+        } else if (arg == "--full" && figure) {
+            flags.full = true;
         } else if (!arg.empty() && arg[0] == '-') {
             throw SimError(std::string("unknown flag '") + arg +
                            "' for stfm " + command);
+        } else if (figure) {
+            throw SimError("stfm " + command +
+                           " takes no spec file (got '" + arg + "')");
         } else if (flags.specPath.empty()) {
             flags.specPath = arg;
         } else {
@@ -227,7 +230,7 @@ parseRunFlags(const char *command, int argc, char **argv, int first)
                            " takes one spec file (got '" + arg + "')");
         }
     }
-    if (flags.specPath.empty())
+    if (flags.specPath.empty() && !figure)
         throw SimError(std::string("stfm ") + command +
                        " needs a spec file argument");
     return flags;
@@ -246,11 +249,10 @@ finishRun(const ExperimentResult &result, const RunFlags &flags)
     return 0;
 }
 
+/** Run @p spec in process, or through the worker pool on fleet flags. */
 int
-commandRun(int argc, char **argv)
+runSpec(const ExperimentSpec &spec, const RunFlags &flags)
 {
-    const RunFlags flags = parseRunFlags("run", argc, argv, 2);
-    const ExperimentSpec spec = specFromText(readFile(flags.specPath));
     if (!flags.fleetMode) {
         const ExperimentResult result = runExperiment(spec);
         return finishRun(result, flags);
@@ -282,41 +284,33 @@ commandRun(int argc, char **argv)
 }
 
 int
-commandBench(int argc, char **argv)
+commandRun(int argc, char **argv)
 {
-    // Environment first (STFM_BENCH_*), explicit flags override — the
-    // same layering the run/figure commands use for STFM_JOBS et al.
-    PerfBenchOptions options = perfBenchOptionsFromEnv();
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--label" && i + 1 < argc) {
-            options.label = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            options.outPath = argv[++i];
-        } else if (arg == "--workloads" && i + 1 < argc) {
-            options.workloads = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--instructions" && i + 1 < argc) {
-            options.budget = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--scaling" && i + 1 < argc) {
-            options.scalingJobs.clear();
-            std::istringstream list(argv[++i]);
-            std::string item;
-            while (std::getline(list, item, ','))
-                options.scalingJobs.push_back(
-                    parseUnsignedFlag(arg, item.c_str()));
-        } else {
-            throw SimError("unknown flag '" + arg + "' for stfm bench");
-        }
+    const RunFlags flags = parseRunFlags("run", argc, argv);
+    return runSpec(specFromText(readFile(flags.specPath)), flags);
+}
+
+int
+commandFigure(const Figure &figure, int argc, char **argv)
+{
+    RunFlags flags = parseRunFlags(figure.name, argc, argv, true);
+    flags.full = flags.full || std::getenv("STFM_FULL_SWEEP") != nullptr;
+    if (figure.specDriven())
+        return runSpec(figure.spec(flags.full), flags);
+    if (!flags.jsonPath.empty() || flags.fleetMode ||
+        flags.fleetOptions.quiet) {
+        throw SimError("stfm " + figure.name +
+                       " is a custom figure: it writes no results "
+                       "document and cannot shard, so it takes neither "
+                       "--json nor fleet flags");
     }
-    return runPerfBench(options);
+    return figure.custom(FigureFlags{flags.full});
 }
 
 int
 commandValidate(int argc, char **argv)
 {
-    const RunFlags flags = parseRunFlags("validate", argc, argv, 2);
+    const RunFlags flags = parseRunFlags("validate", argc, argv);
     const ExperimentSpec spec = specFromText(readFile(flags.specPath));
     const std::vector<Workload> workloads = resolveWorkloads(spec);
     const SimConfig base =
@@ -606,16 +600,12 @@ cliMain(int argc, char **argv)
             return fleet::workerMain();
         if (command == "validate")
             return commandValidate(argc, argv);
-        if (command == "bench")
-            return commandBench(argc, argv);
         if (command == "report")
             return commandReport(argc, argv);
         if (command == "list")
             return commandList(argc, argv);
-        if (findFigure(command)) {
-            // Forward the remaining arguments as the figure's argv.
-            return runFigure(command, argc - 1, argv + 1);
-        }
+        if (const Figure *figure = findFigure(command))
+            return commandFigure(*figure, argc, argv);
     } catch (const SimError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -10,13 +10,15 @@
  *   stfm list figures              every registered paper figure
  *   stfm <figure> [flags]          run a registered figure (fig09, ...)
  *
- * Flags for `run` (figures parse the same set via runFigure):
+ * Flags for `run` (figures parse the same set, plus `--full`):
  *   --json PATH       also emit machine-readable results
  *   --check           run under the integrity layer (STFM_CHECK=1)
  *   --reference       pin the cycle-by-cycle path (STFM_REFERENCE=1)
  *   --jobs N          worker-pool width (STFM_JOBS=N)
  *   --instructions N  per-thread budget override (STFM_INSTRUCTIONS=N)
  *   --full            full-size sweep for figures that sample
+ *
+ * A spec-driven figure then runs exactly as `stfm run` on its spec.
  */
 
 #ifndef STFM_HARNESS_CLI_HH

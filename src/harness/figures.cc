@@ -1,11 +1,5 @@
 #include "harness/figures.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "common/logging.hh"
-#include "harness/experiment.hh"
-
 namespace stfm
 {
 
@@ -160,60 +154,6 @@ findFigure(const std::string &name)
             return &figure;
     }
     return nullptr;
-}
-
-int
-runFigure(const std::string &name, int argc, char **argv)
-{
-    const Figure *figure = findFigure(name);
-    if (!figure) {
-        std::fprintf(stderr, "unknown figure '%s'; known figures:\n",
-                     name.c_str());
-        for (const Figure &f : figureRegistry())
-            std::fprintf(stderr, "  %-20s %s\n", f.name.c_str(),
-                         f.description.c_str());
-        return 1;
-    }
-
-    FigureFlags flags;
-    flags.full = std::getenv("STFM_FULL_SWEEP") != nullptr;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--check") {
-            setenv("STFM_CHECK", "1", 1);
-        } else if (arg == "--reference") {
-            setenv("STFM_REFERENCE", "1", 1);
-        } else if (arg == "--full") {
-            flags.full = true;
-            // Custom figures read the historical env knob.
-            setenv("STFM_FULL_SWEEP", "1", 1);
-        } else if (arg == "--json" && i + 1 < argc) {
-            flags.jsonPath = argv[++i];
-        } else if (arg == "--telemetry") {
-            setenv("STFM_TELEMETRY", "1", 1);
-        } else if (arg == "--trace" && i + 1 < argc) {
-            setenv("STFM_TRACE", argv[++i], 1);
-        }
-        // Unknown arguments are ignored, as the legacy benches did.
-    }
-
-    try {
-        if (figure->specDriven()) {
-            const ExperimentResult result =
-                runExperiment(figure->spec(flags.full));
-            printExperiment(result);
-            if (!flags.jsonPath.empty())
-                writeResultsJson(result, flags.jsonPath);
-            for (const std::string &path : writeObsArtifacts(result))
-                std::printf("observability artifact written to %s\n",
-                            path.c_str());
-            return 0;
-        }
-        return figure->custom(flags);
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
 }
 
 } // namespace stfm

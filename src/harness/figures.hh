@@ -13,11 +13,11 @@
  *    sweep, table5's geometry grid, the ablations) — plain functions
  *    over the runner.
  *
- * Common flags parsed by runFigure for every figure:
- *   --check       run under the integrity layer (STFM_CHECK=1)
- *   --reference   pin the cycle-by-cycle path (STFM_REFERENCE=1)
- *   --full        full-size sweeps (STFM_FULL_SWEEP semantics)
- *   --json PATH   also write machine-readable results (spec-driven)
+ * `stfm <figure>` parses the same flags as `stfm run`, plus `--full`
+ * (full-size sweeps, STFM_FULL_SWEEP semantics). Spec-driven figures
+ * then run exactly as `stfm run` on their spec; custom figures reject
+ * `--json` and the fleet flags, since they write no results document
+ * and cannot shard.
  */
 
 #ifndef STFM_HARNESS_FIGURES_HH
@@ -36,8 +36,6 @@ struct FigureFlags
 {
     /** Full-size sweep (--full or STFM_FULL_SWEEP). */
     bool full = false;
-    /** Results-JSON output path (empty = table report only). */
-    std::string jsonPath;
 };
 
 /** One registered figure. */
@@ -58,13 +56,6 @@ const std::vector<Figure> &figureRegistry();
 
 /** Lookup by name; nullptr when unknown. */
 const Figure *findFigure(const std::string &name);
-
-/**
- * Run figure @p name with bench-style command-line flags. Prints the
- * report to stdout; errors (unknown figure, invalid config) go to
- * stderr. Returns a process exit code.
- */
-int runFigure(const std::string &name, int argc, char **argv);
 
 /** The custom figure harnesses (bodies in figures_custom.cc). */
 namespace figures

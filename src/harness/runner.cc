@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "common/logging.hh"
@@ -21,21 +20,6 @@ std::uint64_t
 ExperimentRunner::budgetFromEnv(std::uint64_t fallback)
 {
     return EnvOverrides::capture().instructionBudget.value_or(fallback);
-}
-
-void
-ExperimentRunner::applyBenchFlags(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--check")
-            setenv("STFM_CHECK", "1", 1);
-        if (std::string(argv[i]) == "--reference")
-            setenv("STFM_REFERENCE", "1", 1);
-        if (std::string(argv[i]) == "--telemetry")
-            setenv("STFM_TELEMETRY", "1", 1);
-        if (std::string(argv[i]) == "--trace" && i + 1 < argc)
-            setenv("STFM_TRACE", argv[++i], 1);
-    }
 }
 
 void

@@ -193,13 +193,6 @@ class ExperimentRunner
     /** Instruction budget override from STFM_INSTRUCTIONS, if set. */
     static std::uint64_t budgetFromEnv(std::uint64_t fallback);
 
-    /**
-     * Apply the common bench command-line flags: `--check` enables the
-     * full integrity layer (equivalent to STFM_CHECK=1) for every run
-     * the bench performs. Unknown arguments are ignored.
-     */
-    static void applyBenchFlags(int argc, char **argv);
-
   private:
     SimConfig configFor(const Workload &workload,
                         const SchedulerConfig &scheduler,

@@ -101,6 +101,10 @@ TEST(Json, ParseErrorsCarryLineAndColumn)
     EXPECT_THROW(Json::parse("\"unterminated"), SimError);
     EXPECT_THROW(Json::parse("tru"), SimError);
     EXPECT_THROW(Json::parse("1 2"), SimError); // Trailing content.
+    // Past the nesting limit: an error, not a stack overflow.
+    EXPECT_THROW(Json::parse(std::string(200000, '[') +
+                             std::string(200000, ']')),
+                 SimError);
 }
 
 TEST(Json, TypeErrorsNameTheContext)

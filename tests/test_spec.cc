@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "common/logging.hh"
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "harness/spec.hh"
@@ -278,6 +282,39 @@ TEST(Spec, ResultsJsonEchoesSchemaAndResolvedConfig)
               0);
     // Aggregates: one entry per scheduler.
     EXPECT_EQ(doc.at("aggregates", "doc").size(), 1u);
+}
+
+TEST(Spec, FigureCommandsTakeRunFlags)
+{
+    // The guard also unsets the STFM_* variables the flag parser sets.
+    EnvGuard guard;
+    const auto cli = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "stfm");
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        return cliMain(static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EQ(cli({"fig06", "--bogus"}), 1);
+
+    const std::string fig06 = ::testing::TempDir() + "fig06_flags.json";
+    std::remove(fig06.c_str());
+    ASSERT_EQ(cli({"fig06", "--instructions", "2000", "--json", fig06}),
+              0);
+    std::ostringstream text;
+    text << std::ifstream(fig06).rdbuf();
+    const Json doc = Json::parse(text.str());
+    EXPECT_EQ(doc.at("resolvedConfig", "doc")
+                  .at("instructionBudget", "config")
+                  .asInt("budget"),
+              2000);
+    std::remove(fig06.c_str());
+
+    // A custom figure writes no results document: --json is an error.
+    const std::string table3 = ::testing::TempDir() + "table3_flags.json";
+    std::remove(table3.c_str());
+    EXPECT_EQ(cli({"table3", "--json", table3}), 1);
+    EXPECT_FALSE(std::ifstream(table3).good());
 }
 
 TEST(Spec, RepeatReseedsTraces)
