@@ -82,6 +82,18 @@ Json::asUint(const std::string &context) const
     return static_cast<std::uint64_t>(int_);
 }
 
+unsigned
+Json::asUint32(const std::string &context) const
+{
+    const std::uint64_t wide = asUint(context);
+    if (wide > 0xffffffffULL) {
+        throw SimError(formatMessage(
+            "%s: value %llu does not fit a 32-bit field", context.c_str(),
+            static_cast<unsigned long long>(wide)));
+    }
+    return static_cast<unsigned>(wide);
+}
+
 double
 Json::asDouble(const std::string &context) const
 {

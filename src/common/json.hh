@@ -81,6 +81,8 @@ class Json
     bool asBool(const std::string &context = "value") const;
     std::int64_t asInt(const std::string &context = "value") const;
     std::uint64_t asUint(const std::string &context = "value") const;
+    /** asUint() that must also fit a 32-bit field. */
+    unsigned asUint32(const std::string &context = "value") const;
     double asDouble(const std::string &context = "value") const;
     const std::string &asString(const std::string &context = "value") const;
     const Array &asArray(const std::string &context = "value") const;

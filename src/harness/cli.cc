@@ -77,11 +77,8 @@ printUsage(std::ostream &os)
           "                    (see `stfm list devices`)\n"
           "  --full            full-size sweep (figures only)\n"
           "\n"
-          "fleet flags (run and spec-driven figures; any of them engages\n"
-          "the supervised worker-process pool, see docs/ARCHITECTURE.md).\n"
-          "Custom figures ([custom] in `stfm list figures`) write no\n"
-          "results document and cannot shard: they refuse --json and\n"
-          "these flags:\n"
+          "fleet flags (run and figures; any of them engages the\n"
+          "supervised worker-process pool, see docs/ARCHITECTURE.md):\n"
           "  --shards N        shard count (default: one per result row)\n"
           "  --workers N       concurrent worker processes\n"
           "  --retries N       process-level retries per shard (default 2)\n"
@@ -293,18 +290,8 @@ commandRun(int argc, char **argv)
 int
 commandFigure(const Figure &figure, int argc, char **argv)
 {
-    RunFlags flags = parseRunFlags(figure.name, argc, argv, true);
-    flags.full = flags.full || std::getenv("STFM_FULL_SWEEP") != nullptr;
-    if (figure.specDriven())
-        return runSpec(figure.spec(flags.full), flags);
-    if (!flags.jsonPath.empty() || flags.fleetMode ||
-        flags.fleetOptions.quiet) {
-        throw SimError("stfm " + figure.name +
-                       " is a custom figure: it writes no results "
-                       "document and cannot shard, so it takes neither "
-                       "--json nor fleet flags");
-    }
-    return figure.custom(FigureFlags{flags.full});
+    const RunFlags flags = parseRunFlags(figure.name, argc, argv, true);
+    return runSpec(figure.spec(flags.full), flags);
 }
 
 int
@@ -538,9 +525,8 @@ commandList(int argc, char **argv)
     }
     if (what == "figures") {
         for (const Figure &figure : figureRegistry()) {
-            std::printf("%-20s %s%s\n", figure.name.c_str(),
-                        figure.description.c_str(),
-                        figure.specDriven() ? "" : " [custom]");
+            std::printf("%-20s %s\n", figure.name.c_str(),
+                        figure.description.c_str());
         }
         return 0;
     }

@@ -18,7 +18,7 @@
  *   --instructions N  per-thread budget override (STFM_INSTRUCTIONS=N)
  *   --full            full-size sweep for figures that sample
  *
- * A spec-driven figure then runs exactly as `stfm run` on its spec.
+ * Every figure is a spec, so it then runs exactly as `stfm run` on it.
  */
 
 #ifndef STFM_HARNESS_CLI_HH

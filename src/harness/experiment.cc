@@ -1,7 +1,7 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <set>
 
 #include "common/logging.hh"
 #include "harness/table.hh"
@@ -79,14 +79,18 @@ printSweepReport(const ExperimentResult &result, std::ostream &os)
         if (r < result.spec.labelRows)
             unfairness_table.addRow(std::move(row));
     }
-    unfairness_table.print(os);
-
-    if (total_failures > 0) {
-        os << "\nFailed runs (excluded from the GMEAN aggregates):\n";
-        failure_table.print(os);
+    if (result.spec.labelRows > 0) {
+        unfairness_table.print(os);
+        os << '\n';
     }
 
-    os << "\nGMEAN over all " << rows << " workloads:\n";
+    if (total_failures > 0) {
+        os << "Failed runs (excluded from the GMEAN aggregates):\n";
+        failure_table.print(os);
+        os << '\n';
+    }
+
+    os << "GMEAN over all " << rows << " workloads:\n";
     TextTable summary({"scheduler", "unfairness", "weighted-speedup",
                        "sum-of-IPCs", "hmean-speedup", "failed"});
     for (const SweepResult &r : result.aggregates) {
@@ -146,6 +150,53 @@ printCaseStudyReport(const ExperimentResult &result, std::ostream &os)
     throughput.print(os);
 }
 
+/** A row's benchmark: the spec's inline profile, else the catalog's. */
+const BenchmarkProfile &
+reportProfile(const ExperimentSpec &spec, const std::string &name)
+{
+    for (const auto &[inline_name, profile] : spec.benchmarks) {
+        if (inline_name == name)
+            return profile;
+    }
+    return findBenchmark(name);
+}
+
+void
+printCharacteristicsReport(const ExperimentResult &result, std::ostream &os)
+{
+    os << result.spec.heading() << " (" << result.rows()
+       << " benchmarks)\n";
+    for (std::size_t s = 0; s < result.schedulers.size(); ++s) {
+        if (result.schedulers.size() > 1)
+            os << "\n-- " << result.schedulers[s].label << " --";
+        os << '\n';
+        TextTable table({"#", "benchmark", "type", "MCPI", "(paper)",
+                         "L2 MPKI", "(paper)", "RBhit%", "(paper)",
+                         "cat"});
+        for (std::size_t r = 0; r < result.rows(); ++r) {
+            const RunOutcome &o = result.outcome(r, s);
+            std::vector<std::string> row{std::to_string(r + 1),
+                                         rowLabel(result, r)};
+            if (o.failed) {
+                row.resize(10, "FAIL");
+                table.addRow(std::move(row));
+                continue;
+            }
+            const BenchmarkProfile &paper =
+                reportProfile(result.spec, result.rowWorkload(r).front());
+            const ThreadResult &t = o.shared.threads.front();
+            row.insert(row.end(),
+                       {paper.type, fmt(t.mcpi()), fmt(paper.paperMcpi),
+                        fmt(t.mpki(), 1), fmt(paper.paperMpki, 1),
+                        fmt(100.0 * t.rowHitRate(), 1),
+                        fmt(100.0 * paper.paperRowHit, 1),
+                        std::to_string(paper.category)});
+            table.addRow(std::move(row));
+        }
+        table.print(os);
+    }
+}
+
 Json
 toJson(const ThreadResult &thread)
 {
@@ -182,9 +233,15 @@ resolveWorkloads(const ExperimentSpec &spec)
 SimConfig
 resolveConfig(const ExperimentSpec &spec, const EnvOverrides &env)
 {
-    const std::vector<Workload> workloads = resolveWorkloads(spec);
-    SimConfig base = simConfigFromJson(
-        spec.config, static_cast<unsigned>(workloads.front().size()));
+    return resolveConfig(spec, env, resolveWorkloads(spec).front().size());
+}
+
+SimConfig
+resolveConfig(const ExperimentSpec &spec, const EnvOverrides &env,
+              std::size_t cores)
+{
+    SimConfig base =
+        simConfigFromJson(spec.config, static_cast<unsigned>(cores));
     if (spec.budget)
         base.instructionBudget = spec.budget;
     // Spec-level telemetry block wins over "config.telemetry"; the
@@ -205,7 +262,6 @@ planExperiment(const ExperimentSpec &spec)
     plan.workloads = resolveWorkloads(spec);
     plan.schedulers =
         spec.schedulers.empty() ? paperEntries() : spec.schedulers;
-    plan.base = resolveConfig(spec, plan.env);
 
     // Cross-device axis: expand to every (device, scheduler) pair,
     // device-major so a report groups one device's columns together.
@@ -235,24 +291,30 @@ planExperiment(const ExperimentSpec &spec)
         plan.schedulers = std::move(expanded);
     }
 
-    // Validate every (workload size, scheduler) pairing the grid will
-    // produce — per-thread weight/share lists must fit each core count.
-    std::set<std::size_t> sizes;
+    // One base per workload size, so each core count keeps its own
+    // channel scaling; the first workload's is the echoed base.
     for (const Workload &w : plan.workloads) {
         if (w.empty())
             throw SimError("spec contains an empty workload");
-        sizes.insert(w.size());
+        if (plan.bases.count(w.size()) == 0)
+            plan.bases.emplace(w.size(),
+                               resolveConfig(spec, plan.env, w.size()));
     }
-    for (const std::size_t size : sizes) {
+    plan.base = plan.bases.at(plan.workloads.front().size());
+
+    // Validate every (workload size, scheduler) pairing the grid will
+    // produce — per-thread weight/share lists must fit each core count.
+    for (const auto &[size, base] : plan.bases) {
         for (const SchedulerEntry &entry : plan.schedulers) {
-            SimConfig probe = plan.base;
+            SimConfig probe = base;
             probe.cores = static_cast<unsigned>(size);
             probe.scheduler = entry.config;
-            // Resolve the device here too, so an unknown device name
-            // or a spec inconsistent with the overrides fails the plan
+            // Resolve the device and overrides here too, so an unknown
+            // device name or an inconsistent override fails the plan
             // rather than each run.
             if (!entry.device.empty())
                 applyDevice(probe.memory, entry.device);
+            applyJson(entry.overrides, probe);
             const std::vector<std::string> problems =
                 validateConfig(probe);
             if (!problems.empty()) {
@@ -268,7 +330,8 @@ planExperiment(const ExperimentSpec &spec)
         for (unsigned rep = 0; rep < spec.repeat; ++rep) {
             for (const SchedulerEntry &entry : plan.schedulers)
                 plan.jobs.push_back({workload, entry.config,
-                                     spec.seed + rep, entry.device});
+                                     spec.seed + rep, entry.device,
+                                     entry.overrides});
         }
     }
     return plan;
@@ -290,6 +353,8 @@ void
 configureRunner(ExperimentRunner &runner, const ExperimentPlan &plan)
 {
     runner.setMaxAttempts(plan.spec.attempts);
+    for (const auto &[size, base] : plan.bases)
+        runner.addBase(base);
     for (const auto &[name, profile] : plan.spec.benchmarks)
         runner.addBenchmark(name, profile);
 }
@@ -335,6 +400,13 @@ printExperiment(const ExperimentResult &result, std::ostream &os,
                 ReportStyle style)
 {
     if (style == ReportStyle::Auto) {
+        const bool single_thread = std::all_of(
+            result.workloads.begin(), result.workloads.end(),
+            [](const Workload &w) { return w.size() == 1; });
+        if (single_thread) {
+            printCharacteristicsReport(result, os);
+            return;
+        }
         style = result.rows() == 1 ? ReportStyle::CaseStudy
                                    : ReportStyle::Sweep;
     }

@@ -6,12 +6,13 @@
  *
  * The engine is the single execution path behind the sweep and
  * case-study drivers, the figure registry and the stfm CLI. Resolution
- * is strictly layered:
+ * is strictly layered, once per distinct workload size:
  *
- *   SimConfig::baseline(cores of the first workload)
+ *   SimConfig::baseline(cores of the workload)
  *     + spec "config" overrides (sim/config_io applyJson)
- *     + spec "budget"
+ *     + spec "budget" and "telemetry"
  *     + environment overrides (EnvOverrides)
+ *     -> per job: the entry's device, then the entry's "config"
  *     -> validateConfig() -> run.
  *
  * Job order is workload-major, repeat-mid, scheduler-minor — for
@@ -24,6 +25,7 @@
 #define STFM_HARNESS_EXPERIMENT_HH
 
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -80,7 +82,12 @@ struct ExperimentResult
 /** Report rendering style. */
 enum class ReportStyle
 {
-    /** Sweep report for > 1 row, case study for a single row. */
+    /**
+     * When every workload has one thread, a characteristics table
+     * (per-benchmark MCPI, L2 MPKI and row-hit rate beside the
+     * catalog's paper values, Tables 3/4); otherwise a case study for
+     * a single row and a sweep for more.
+     */
     Auto,
     /** Per-workload unfairness rows + GMEAN tables (Figures 9/11/12). */
     Sweep,
@@ -101,7 +108,10 @@ struct ExperimentPlan
     ExperimentSpec spec;
     std::vector<Workload> workloads;
     std::vector<SchedulerEntry> schedulers;
+    /** The first workload's base (the results document's echo). */
     SimConfig base;
+    /** One resolved base per distinct workload size. */
+    std::map<std::size_t, SimConfig> bases;
     EnvOverrides env;
     /** Workload-major, repeat-mid, scheduler-minor (see above). */
     std::vector<RunJob> jobs;
@@ -123,7 +133,8 @@ ExperimentResult resultFromPlan(const ExperimentPlan &plan);
 
 /**
  * Configure @p runner (constructed over plan.base) exactly as
- * runExperiment would: spec attempts and inline benchmarks.
+ * runExperiment would: spec attempts, the per-size bases and inline
+ * benchmarks.
  */
 void configureRunner(ExperimentRunner &runner,
                      const ExperimentPlan &plan);
@@ -139,10 +150,15 @@ void aggregateOutcomes(ExperimentResult &result);
 std::vector<Workload> resolveWorkloads(const ExperimentSpec &spec);
 
 /**
- * Resolve the spec's base configuration (baseline + overrides + budget
- * + @p env) without running anything. @throws SimError (including
- * every validateConfig problem) on an invalid configuration.
+ * Resolve the spec's base configuration for @p cores-thread workloads
+ * (baseline + overrides + budget + telemetry + @p env) without running
+ * anything. @throws SimError (including every validateConfig problem)
+ * on an invalid configuration.
  */
+SimConfig resolveConfig(const ExperimentSpec &spec, const EnvOverrides &env,
+                        std::size_t cores);
+
+/** resolveConfig() for the first workload's core count. */
 SimConfig resolveConfig(const ExperimentSpec &spec,
                         const EnvOverrides &env);
 

@@ -4,20 +4,12 @@
  * addressable by name from the stfm CLI (`stfm fig09`, `stfm list
  * figures`).
  *
- * Two kinds of figures:
- *  - spec-driven: the figure is a named ExperimentSpec (workloads x
- *    the five paper schedulers) executed by the experiment engine —
- *    these support `--json <path>` structured results emission;
- *  - custom: figures whose harness does not fit the (workload x
- *    scheduler) grid (the fig03 idleness schedule, the fig05 pairing
- *    sweep, table5's geometry grid, the ablations) — plain functions
- *    over the runner.
- *
- * `stfm <figure>` parses the same flags as `stfm run`, plus `--full`
- * (full-size sweeps, STFM_FULL_SWEEP semantics). Spec-driven figures
- * then run exactly as `stfm run` on their spec; custom figures reject
- * `--json` and the fleet flags, since they write no results document
- * and cannot shard.
+ * Every figure is a named ExperimentSpec — workloads x scheduler
+ * entries, with per-entry policy knobs and configuration overrides —
+ * executed by the experiment engine. `stfm <figure>` parses the same
+ * flags as `stfm run`, plus `--full` (full-size sweeps), and then runs
+ * exactly as `stfm run` on the figure's spec: every figure writes a
+ * `--json` results document and takes the fleet flags.
  */
 
 #ifndef STFM_HARNESS_FIGURES_HH
@@ -31,24 +23,13 @@
 namespace stfm
 {
 
-/** Flags shared by every figure run. */
-struct FigureFlags
-{
-    /** Full-size sweep (--full or STFM_FULL_SWEEP). */
-    bool full = false;
-};
-
 /** One registered figure. */
 struct Figure
 {
     std::string name;        ///< Registry key ("fig09", "table5", ...).
     std::string description; ///< One line for `stfm list figures`.
-    /** Spec builder (spec-driven figures); null for custom figures. */
+    /** Spec builder; @p full selects the full-size sweep. */
     ExperimentSpec (*spec)(bool full) = nullptr;
-    /** Custom harness; null for spec-driven figures. */
-    int (*custom)(const FigureFlags &flags) = nullptr;
-
-    bool specDriven() const { return spec != nullptr; }
 };
 
 /** All figures, in paper order. */
@@ -56,22 +37,6 @@ const std::vector<Figure> &figureRegistry();
 
 /** Lookup by name; nullptr when unknown. */
 const Figure *findFigure(const std::string &name);
-
-/** The custom figure harnesses (bodies in figures_custom.cc). */
-namespace figures
-{
-
-int motivation(const FigureFlags &);         ///< Figure 1.
-int idleness(const FigureFlags &);           ///< Figure 3.
-int twoCore(const FigureFlags &);            ///< Figure 5.
-int threadWeights(const FigureFlags &);      ///< Figure 14.
-int alphaSweep(const FigureFlags &);         ///< Figure 15.
-int table3Characteristics(const FigureFlags &);
-int table5Sensitivity(const FigureFlags &);
-int ablationStfm(const FigureFlags &);
-int ablationController(const FigureFlags &);
-
-} // namespace figures
 
 } // namespace stfm
 

@@ -6,20 +6,57 @@
 
 #include "common/logging.hh"
 #include "harness/env_overrides.hh"
+#include "sim/config_io.hh"
 #include "sim/device_io.hh"
 
 namespace stfm
 {
+
+namespace
+{
+
+/**
+ * Alone-cache key. The device and override tags are appended only when
+ * non-empty, keeping base-device keys byte-identical to the historical
+ * form — fleet manifests written before those layers still seed the
+ * cache correctly.
+ */
+std::string
+aloneKey(const std::string &benchmark, const SimConfig &base,
+         const std::string &device, const Json &overrides)
+{
+    std::string key = benchmark + "#" +
+                      std::to_string(base.memory.channels) + "x" +
+                      std::to_string(base.memory.banksPerChannel) + "x" +
+                      std::to_string(base.memory.rowBytes) + "@" +
+                      std::to_string(base.instructionBudget);
+    if (!device.empty())
+        key += "+" + device;
+    if (!overrides.asObject("config").empty())
+        key += "+" + overrides.dump();
+    return key;
+}
+
+} // namespace
 
 ExperimentRunner::ExperimentRunner(SimConfig base) : base_(std::move(base))
 {
     EnvOverrides::capture().apply(base_);
 }
 
-std::uint64_t
-ExperimentRunner::budgetFromEnv(std::uint64_t fallback)
+void
+ExperimentRunner::addBase(SimConfig base)
 {
-    return EnvOverrides::capture().instructionBudget.value_or(fallback);
+    EnvOverrides::capture().apply(base);
+    const unsigned cores = base.cores;
+    bases_.insert_or_assign(cores, std::move(base));
+}
+
+const SimConfig &
+ExperimentRunner::baseFor(std::size_t cores) const
+{
+    const auto it = bases_.find(static_cast<unsigned>(cores));
+    return it != bases_.end() ? it->second : base_;
 }
 
 void
@@ -29,15 +66,14 @@ ExperimentRunner::setMaxAttempts(unsigned attempts)
 }
 
 SimConfig
-ExperimentRunner::configFor(const Workload &workload,
-                            const SchedulerConfig &scheduler,
-                            const std::string &device) const
+ExperimentRunner::configFor(const RunJob &job) const
 {
-    SimConfig config = base_;
-    config.cores = static_cast<unsigned>(workload.size());
-    config.scheduler = scheduler;
-    if (!device.empty())
-        applyDevice(config.memory, device);
+    SimConfig config = baseFor(job.workload.size());
+    config.cores = static_cast<unsigned>(job.workload.size());
+    config.scheduler = job.scheduler;
+    if (!job.device.empty())
+        applyDevice(config.memory, job.device);
+    applyJson(job.overrides, config);
     return config;
 }
 
@@ -64,25 +100,20 @@ ExperimentRunner::profileFor(const std::string &name) const
     return findBenchmark(name);
 }
 
-std::string
-ExperimentRunner::aloneKey(const std::string &benchmark,
-                           const std::string &device) const
-{
-    std::string key = benchmark + "#" +
-                      std::to_string(base_.memory.channels) + "x" +
-                      std::to_string(base_.memory.banksPerChannel) + "x" +
-                      std::to_string(base_.memory.rowBytes) + "@" +
-                      std::to_string(base_.instructionBudget);
-    if (!device.empty())
-        key += "+" + device;
-    return key;
-}
-
 const ThreadResult &
 ExperimentRunner::aloneResult(const std::string &benchmark,
                               const std::string &device)
 {
-    const std::string key = aloneKey(benchmark, device);
+    return aloneBaseline(benchmark, base_, device, Json::object());
+}
+
+const ThreadResult &
+ExperimentRunner::aloneBaseline(const std::string &benchmark,
+                                const SimConfig &base,
+                                const std::string &device,
+                                const Json &overrides)
+{
+    const std::string key = aloneKey(benchmark, base, device, overrides);
     // Held across the miss-path simulation: see aloneCache_'s comment.
     std::lock_guard<std::mutex> guard(aloneMutex_);
     const auto it = aloneCache_.find(key);
@@ -93,12 +124,13 @@ ExperimentRunner::aloneResult(const std::string &benchmark,
     // system with FR-FCFS (Section 6.2). Observability stays off for
     // baselines — their documents would shadow the shared run's, and
     // the baseline is memoized across runs with different settings.
-    SimConfig config = base_;
+    SimConfig config = base;
+    if (!device.empty())
+        applyDevice(config.memory, device);
+    applyJson(overrides, config);
     config.cores = 1;
     config.scheduler = SchedulerConfig{}; // FR-FCFS, no knobs.
     config.telemetry = TelemetryConfig{};
-    if (!device.empty())
-        applyDevice(config.memory, device);
 
     const BenchmarkProfile &profile = profileFor(benchmark);
     AddressMapping mapping(config.memory.channels,
@@ -142,14 +174,13 @@ ExperimentRunner::setAttemptHook(
 }
 
 RunOutcome
-ExperimentRunner::attemptRun(const Workload &workload,
-                             const SchedulerConfig &scheduler,
-                             std::uint64_t seed_salt, unsigned attempt,
-                             const std::string &device)
+ExperimentRunner::attemptRun(const RunJob &job, std::uint64_t seed_salt,
+                             unsigned attempt)
 {
+    const Workload &workload = job.workload;
     if (attemptHook_)
         attemptHook_(workload, attempt);
-    const SimConfig config = configFor(workload, scheduler, device);
+    const SimConfig config = configFor(job);
 
     AddressMapping mapping(config.memory.channels,
                            config.memory.banksPerChannel,
@@ -176,10 +207,12 @@ ExperimentRunner::attemptRun(const Workload &workload,
             outcome.trace = obs->traceJson();
     }
 
+    const SimConfig &base = baseFor(workload.size());
     std::vector<ThreadResult> alone;
     alone.reserve(workload.size());
     for (const auto &name : workload)
-        alone.push_back(aloneResult(name, device));
+        alone.push_back(
+            aloneBaseline(name, base, job.device, job.overrides));
     outcome.metrics = computeMetrics(outcome.shared, alone);
     return outcome;
 }
@@ -189,14 +222,19 @@ ExperimentRunner::run(const Workload &workload,
                       const SchedulerConfig &scheduler,
                       std::uint64_t seed_salt, const std::string &device)
 {
+    return runJob(RunJob{workload, scheduler, seed_salt, device});
+}
+
+RunOutcome
+ExperimentRunner::runJob(const RunJob &job)
+{
     RunOutcome outcome;
     for (unsigned attempt = 1; attempt <= maxAttempts_; ++attempt) {
         try {
             // The base salt on the first attempt (0 = the canonical
             // trace streams); retries reseed on top of it.
-            outcome = attemptRun(workload, scheduler,
-                                 seed_salt + (attempt - 1), attempt,
-                                 device);
+            outcome = attemptRun(job, job.seedSalt + (attempt - 1),
+                                 attempt);
             outcome.attempts = attempt;
             return outcome;
         } catch (const SimError &e) {
@@ -209,7 +247,7 @@ ExperimentRunner::run(const Workload &workload,
         outcome.attempts = attempt;
     }
     // All attempts failed; name the policy for report rows anyway.
-    outcome.policyName = toString(scheduler.kind);
+    outcome.policyName = toString(job.scheduler.kind);
     return outcome;
 }
 
@@ -253,8 +291,7 @@ ExperimentRunner::runMany(const std::vector<RunJob> &jobs,
     const auto worker = [&]() {
         for (std::size_t i = next.fetch_add(1); i < jobs.size();
              i = next.fetch_add(1)) {
-            out[i] = run(jobs[i].workload, jobs[i].scheduler,
-                         jobs[i].seedSalt, jobs[i].device);
+            out[i] = runJob(jobs[i]);
         }
     };
 

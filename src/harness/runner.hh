@@ -48,6 +48,12 @@ struct RunJob
      * the runner's base device (the DDR2-800 defaults).
      */
     std::string device;
+    /**
+     * SimConfig overrides (a JSON object, sim/config_io.hh) layered
+     * after the device onto this job's run and its alone baselines;
+     * empty = none. A scheduler entry's "config" (harness/spec.hh).
+     */
+    Json overrides = Json::object();
 };
 
 /** One workload run under one policy, with its metrics. */
@@ -85,6 +91,16 @@ class ExperimentRunner
      * honors them.
      */
     explicit ExperimentRunner(SimConfig base);
+
+    /**
+     * Use @p base, with the environment overrides layered on, for every
+     * workload of base.cores threads — its shared runs and its alone
+     * baselines — instead of the constructor's base. An experiment
+     * whose workloads mix core counts registers one base per count, so
+     * each count keeps its own channel scaling. Not synchronized:
+     * register every base before runMany().
+     */
+    void addBase(SimConfig base);
 
     /**
      * Run @p workload (one benchmark name per core) under
@@ -190,30 +206,30 @@ class ExperimentRunner
     /** The five evaluation policies in the paper's presentation order. */
     static std::vector<SchedulerConfig> paperSchedulers();
 
-    /** Instruction budget override from STFM_INSTRUCTIONS, if set. */
-    static std::uint64_t budgetFromEnv(std::uint64_t fallback);
-
   private:
-    SimConfig configFor(const Workload &workload,
-                        const SchedulerConfig &scheduler,
-                        const std::string &device) const;
+    /** run() for one job, its overrides included. */
+    RunOutcome runJob(const RunJob &job);
+    /** The base registered for @p cores threads, else the default. */
+    const SimConfig &baseFor(std::size_t cores) const;
+    /** The shared-run configuration of @p job. */
+    SimConfig configFor(const RunJob &job) const;
     /**
-     * Alone-cache key. The device tag is appended only when non-empty,
-     * keeping base-device keys byte-identical to the historical form —
-     * fleet manifests written before the device layer still seed the
-     * cache correctly.
+     * Alone baseline of @p benchmark on @p base with @p device and
+     * @p overrides layered on (see aloneResult()).
      */
-    std::string aloneKey(const std::string &benchmark,
-                         const std::string &device) const;
+    const ThreadResult &aloneBaseline(const std::string &benchmark,
+                                      const SimConfig &base,
+                                      const std::string &device,
+                                      const Json &overrides);
     /** Runner-local benchmark if registered, else the global catalog. */
     const BenchmarkProfile &profileFor(const std::string &name) const;
     /** One attempt; throws SimError/CheckFailure on failure. */
-    RunOutcome attemptRun(const Workload &workload,
-                          const SchedulerConfig &scheduler,
-                          std::uint64_t seed_salt, unsigned attempt,
-                          const std::string &device);
+    RunOutcome attemptRun(const RunJob &job, std::uint64_t seed_salt,
+                          unsigned attempt);
 
     SimConfig base_;
+    /** Per-core-count bases (addBase()); other counts use base_. */
+    std::map<unsigned, SimConfig> bases_;
     unsigned maxAttempts_ = 1;
     std::function<void(const Workload &, unsigned)> attemptHook_;
     /**

@@ -39,20 +39,31 @@ traceProfileFromJson(const Json &json, const std::string &context)
         if (const Json *v = json.find(key))
             out = v->asDouble(context + "." + key);
     };
+    const auto fraction = [&](const char *key, double &out) {
+        num(key, out);
+        if (!(out >= 0.0 && out <= 1.0)) {
+            throw SimError(formatMessage("%s.%s: must be within [0, 1]",
+                                         context.c_str(), key));
+        }
+    };
     const auto u32 = [&](const char *key, unsigned &out) {
         if (const Json *v = json.find(key))
-            out = static_cast<unsigned>(v->asUint(context + "." + key));
+            out = v->asUint32(context + "." + key);
     };
     num("mpki", profile.mpki);
-    num("rowBufferHitRate", profile.rowBufferHitRate);
-    num("burstDuty", profile.burstDuty);
+    if (!(profile.mpki > 0.0))
+        throw SimError(context + ".mpki: must be positive");
+    fraction("rowBufferHitRate", profile.rowBufferHitRate);
+    fraction("burstDuty", profile.burstDuty);
     u32("burstLength", profile.burstLength);
+    if (profile.burstLength == 0)
+        throw SimError(context + ".burstLength: must be at least 1");
     u32("streamCount", profile.streamCount);
     u32("bankSpread", profile.bankSpread);
-    num("storeFraction", profile.storeFraction);
+    fraction("storeFraction", profile.storeFraction);
     if (const Json *v = json.find("streamingStores"))
         profile.streamingStores = v->asBool(context + ".streamingStores");
-    num("dependentFraction", profile.dependentFraction);
+    fraction("dependentFraction", profile.dependentFraction);
     num("hitAccessesPer1k", profile.hitAccessesPer1k);
     return profile;
 }
@@ -74,6 +85,29 @@ toJson(const TraceProfile &profile)
     return out;
 }
 
+/**
+ * A scheduler entry's "config": SimConfig overrides, checked eagerly so
+ * `stfm validate` reports a bad key with its field path. The entry
+ * fixes neither the core count (the workload does) nor the policy (the
+ * entry itself does).
+ */
+Json
+entryOverridesFromJson(const Json &json, const std::string &context)
+{
+    for (const auto &[key, value] : json.asObject(context)) {
+        (void)value;
+        if (key == "cores" || key == "scheduler") {
+            throw SimError(formatMessage(
+                "%s.%s: not settable per entry (the workload fixes the "
+                "core count, the entry its policy)",
+                context.c_str(), key.c_str()));
+        }
+    }
+    SimConfig probe;
+    applyJson(json, probe, context);
+    return json;
+}
+
 SchedulerEntry
 schedulerEntryFromJson(const Json &json, const std::string &context)
 {
@@ -84,14 +118,17 @@ schedulerEntryFromJson(const Json &json, const std::string &context)
         entry.label = toString(entry.config.kind);
         return entry;
     }
-    // Object form: "label"/"device" are ours; everything else is
-    // SchedulerConfig.
+    // Object form: "label"/"device"/"config" are ours; everything else
+    // is SchedulerConfig.
     Json params = Json::object();
     for (const auto &[key, value] : json.asObject(context)) {
         if (key == "label")
             entry.label = value.asString(context + ".label");
         else if (key == "device")
             entry.device = value.asString(context + ".device");
+        else if (key == "config")
+            entry.overrides = entryOverridesFromJson(value,
+                                                     context + ".config");
         else
             params.set(key, value);
     }
@@ -107,9 +144,9 @@ sampleFromJson(const Json &json, const std::string &context)
     rejectUnknownKeys(json, context, {"cores", "count", "seed"});
     WorkloadSample sample;
     if (const Json *v = json.find("cores"))
-        sample.cores = static_cast<unsigned>(v->asUint(context + ".cores"));
+        sample.cores = v->asUint32(context + ".cores");
     if (const Json *v = json.find("count"))
-        sample.count = static_cast<unsigned>(v->asUint(context + ".count"));
+        sample.count = v->asUint32(context + ".count");
     if (const Json *v = json.find("seed"))
         sample.seed = v->asUint(context + ".seed");
     return sample;
@@ -158,6 +195,17 @@ namedWorkloads(const std::string &name)
     }
     throw SimError(formatMessage("unknown workload name '%s' (known: %s)",
                                  name.c_str(), known.c_str()));
+}
+
+BenchmarkProfile
+inlineBenchmark(const std::string &name, const TraceProfile &trace)
+{
+    BenchmarkProfile bench;
+    bench.name = name;
+    bench.trace = trace;
+    bench.paperMpki = trace.mpki;
+    bench.paperRowHit = trace.rowBufferHitRate;
+    return bench;
 }
 
 ExperimentSpec
@@ -251,17 +299,16 @@ specFromJson(const Json &json)
             static_cast<std::size_t>(v->asUint("spec.labelRows"));
     }
     if (const Json *v = json.find("repeat")) {
-        spec.repeat = static_cast<unsigned>(v->asUint("spec.repeat"));
+        spec.repeat = v->asUint32("spec.repeat");
         if (spec.repeat == 0)
             throw SimError("spec.repeat: must be at least 1");
     }
     if (const Json *v = json.find("seed"))
         spec.seed = v->asUint("spec.seed");
     if (const Json *v = json.find("jobs"))
-        spec.jobs = static_cast<unsigned>(v->asUint("spec.jobs"));
+        spec.jobs = v->asUint32("spec.jobs");
     if (const Json *v = json.find("attempts")) {
-        spec.attempts =
-            static_cast<unsigned>(v->asUint("spec.attempts"));
+        spec.attempts = v->asUint32("spec.attempts");
         if (spec.attempts == 0)
             throw SimError("spec.attempts: must be at least 1");
     }
@@ -269,13 +316,10 @@ specFromJson(const Json &json)
     if (const Json *v = json.find("benchmarks")) {
         for (const auto &[name, profile] :
              v->asObject("spec.benchmarks")) {
-            BenchmarkProfile bench;
-            bench.name = name;
-            bench.trace = traceProfileFromJson(
-                profile, "spec.benchmarks." + name);
-            bench.paperMpki = bench.trace.mpki;
-            bench.paperRowHit = bench.trace.rowBufferHitRate;
-            spec.benchmarks.emplace_back(name, bench);
+            spec.benchmarks.emplace_back(
+                name, inlineBenchmark(name, traceProfileFromJson(
+                                                profile,
+                                                "spec.benchmarks." + name)));
         }
     }
 
@@ -299,6 +343,8 @@ toJson(const SchedulerEntry &entry)
     out.set("label", entry.label);
     if (!entry.device.empty())
         out.set("device", entry.device);
+    if (!entry.overrides.asObject("config").empty())
+        out.set("config", entry.overrides);
     // Keep the serialized config alive past the loop: a range-for over
     // the temporary's Object would dangle (no lifetime extension
     // through asObject's reference return).

@@ -8,8 +8,8 @@
  * and repeat/seed controls — and the experiment engine
  * (harness/experiment.hh) turns it into RunJobs for
  * ExperimentRunner::runMany. The JSON form is the CLI's input
- * (`stfm run spec.json`); every registered figure is a named spec or a
- * custom function over the same machinery (harness/figures.hh).
+ * (`stfm run spec.json`); every registered figure is a named spec
+ * (harness/figures.hh).
  *
  * Spec JSON schema (all fields optional unless noted):
  *
@@ -25,7 +25,14 @@
  *               | [ "STFM",                 // policy name with defaults
  *                   {"label": "STFM a=2",   // or full per-policy params
  *                    "policy": "STFM", "alpha": 2.0,
- *                    "device": "DDR4-2400"} ],  // per-entry device
+ *                    "device": "DDR4-2400",    // per-entry device
+ *                    "config": {"memory": {"banksPerChannel": 4}}} ],
+ *                                           // per-entry SimConfig
+ *                                           // overrides, layered after
+ *                                           // the device onto the entry's
+ *                                           // shared runs and alone
+ *                                           // baselines (no "cores" or
+ *                                           // "scheduler")
  *     "devices":   ["DDR2-800", "DDR4-2400"],
  *                                           // cross-device axis: every
  *                                           // scheduler runs once per
@@ -74,6 +81,10 @@ struct SchedulerEntry
     /** Device spec name/path this entry runs on; "" = the config's
      *  own memory settings (the DDR2-800 baseline by default). */
     std::string device;
+    /** SimConfig overrides (the entry's JSON "config" object), applied
+     *  after the device to this entry's shared runs and alone
+     *  baselines. Empty = none. Never sets "cores" or "scheduler". */
+    Json overrides = Json::object();
 };
 
 /** Category-balanced workload sampling (the averaged sweeps). */
@@ -152,6 +163,13 @@ std::vector<std::string> namedWorkloadCatalog();
  * catalog.
  */
 std::vector<Workload> namedWorkloads(const std::string &name);
+
+/**
+ * An inline benchmark as a spec's "benchmarks" block defines it: the
+ * profile's targets double as its reference ("paper") values.
+ */
+BenchmarkProfile inlineBenchmark(const std::string &name,
+                                 const TraceProfile &trace);
 
 /** Parse a spec from its JSON form. @throws SimError with field paths. */
 ExperimentSpec specFromJson(const Json &json);

@@ -78,16 +78,8 @@ class Fields
     void
     u32(const std::string &key, unsigned &out)
     {
-        if (const Json *v = get(key)) {
-            const std::uint64_t wide = v->asUint(path(key));
-            if (wide > 0xffffffffULL) {
-                throw SimError(formatMessage(
-                    "%s: value %llu does not fit a 32-bit field",
-                    path(key).c_str(),
-                    static_cast<unsigned long long>(wide)));
-            }
-            out = static_cast<unsigned>(wide);
-        }
+        if (const Json *v = get(key))
+            out = v->asUint32(path(key));
     }
 
     void
@@ -510,10 +502,8 @@ SimConfig
 simConfigFromJson(const Json &overrides, unsigned default_cores)
 {
     unsigned cores = default_cores;
-    if (const Json *v = overrides.find("cores")) {
-        const std::uint64_t wide = v->asUint("config.cores");
-        cores = static_cast<unsigned>(wide);
-    }
+    if (const Json *v = overrides.find("cores"))
+        cores = v->asUint32("config.cores");
     // baseline(cores) first so channel scaling tracks the core count;
     // explicit "memory.channels" overrides still win below.
     SimConfig config = SimConfig::baseline(cores);

@@ -376,7 +376,6 @@ TEST_P(FigureSpecEquivalence, AllSchedulersBitExact)
 {
     const Figure *figure = findFigure(GetParam());
     ASSERT_NE(figure, nullptr) << GetParam();
-    ASSERT_TRUE(figure->specDriven()) << GetParam();
     ExperimentSpec spec = figure->spec(/*full=*/false);
     // The figure's geometry and workload mix are what's under test;
     // its full budget is not. Shrink the sweep to its first two

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "harness/runner.hh"
 
 namespace stfm
@@ -63,14 +61,6 @@ TEST(Runner, RunAllReturnsOnePerScheduler)
     ASSERT_EQ(outcomes.size(), 5u);
     for (const RunOutcome &o : outcomes)
         EXPECT_FALSE(o.shared.hitCycleLimit);
-}
-
-TEST(Runner, BudgetEnvOverride)
-{
-    ASSERT_EQ(setenv("STFM_INSTRUCTIONS", "12345", 1), 0);
-    EXPECT_EQ(ExperimentRunner::budgetFromEnv(777), 12345u);
-    ASSERT_EQ(unsetenv("STFM_INSTRUCTIONS"), 0);
-    EXPECT_EQ(ExperimentRunner::budgetFromEnv(777), 777u);
 }
 
 TEST(Runner, DifferentMemoryConfigsDoNotShareAloneCache)

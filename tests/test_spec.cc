@@ -16,6 +16,7 @@
 #include "common/logging.hh"
 #include "harness/cli.hh"
 #include "harness/experiment.hh"
+#include "harness/figures.hh"
 #include "harness/runner.hh"
 #include "harness/spec.hh"
 #include "sim/config_io.hh"
@@ -121,6 +122,54 @@ TEST(Spec, RejectsUnknownKeysAndBadShapes)
         specFromText(
             R"({"name": "t", "workloads": ["case_mixed"], "repeat": 0})"),
         SimError);
+
+    // Unsigned fields are 32-bit: no silent truncation.
+    EXPECT_THROW(specFromText(R"({"name": "t", "workloads": ["case_mixed"],
+                                  "repeat": 4294967297})"),
+                 SimError);
+    EXPECT_THROW(specFromText(R"({"name": "t",
+                                  "sample": {"cores": 4294967300}})"),
+                 SimError);
+
+    // Inline profiles the generator cannot run are rejected with the
+    // offending field's path.
+    const auto profile_error = [](const std::string &profile) {
+        try {
+            specFromText(R"({"name": "t", "workloads": [["x"]],
+                             "benchmarks": {"x": )" +
+                         profile + "}}");
+        } catch (const SimError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_NE(profile_error(R"({"mpki": 0})").find("spec.benchmarks.x.mpki"),
+              std::string::npos);
+    EXPECT_NE(profile_error(R"({"burstLength": 4294967296})")
+                  .find("spec.benchmarks.x.burstLength"),
+              std::string::npos);
+    EXPECT_NE(profile_error(R"({"burstLength": 0})").find("burstLength"),
+              std::string::npos);
+    for (const char *fraction : {"rowBufferHitRate", "burstDuty",
+                                 "storeFraction", "dependentFraction"}) {
+        for (const char *value : {"-0.1", "1.5"}) {
+            const std::string profile =
+                std::string(R"({")") + fraction + R"(": )" + value + "}";
+            EXPECT_NE(profile_error(profile).find(fraction),
+                      std::string::npos)
+                << profile;
+        }
+    }
+
+    // An entry's config fixes neither the core count nor the policy.
+    for (const char *key : {"cores", "scheduler"}) {
+        const std::string text =
+            std::string(R"({"name": "t", "workloads": [["mcf"]],
+                            "schedulers": [{"policy": "STFM",
+                                            "config": {")") +
+            key + R"(": 2}}]})";
+        EXPECT_THROW(specFromText(text), SimError) << key;
+    }
 }
 
 TEST(Spec, RoundTripsThroughCanonicalJson)
@@ -310,11 +359,133 @@ TEST(Spec, FigureCommandsTakeRunFlags)
               2000);
     std::remove(fig06.c_str());
 
-    // A custom figure writes no results document: --json is an error.
+    // Every figure writes a results document: table3's holds one
+    // one-thread run per catalog benchmark.
     const std::string table3 = ::testing::TempDir() + "table3_flags.json";
     std::remove(table3.c_str());
-    EXPECT_EQ(cli({"table3", "--json", table3}), 1);
-    EXPECT_FALSE(std::ifstream(table3).good());
+    ASSERT_EQ(cli({"table3", "--instructions", "2000", "--json", table3}),
+              0);
+    std::ostringstream table3_text;
+    table3_text << std::ifstream(table3).rdbuf();
+    const Json table3_doc = Json::parse(table3_text.str());
+    const Json &runs = table3_doc.at("runs", "doc");
+    ASSERT_EQ(runs.size(), 30u);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs.at(i).at("threads", "run").size(), 1u);
+    std::remove(table3.c_str());
+}
+
+/** Bit-for-bit equality of two successful runs and their metrics. */
+void
+expectSameRun(const RunOutcome &a, const RunOutcome &b)
+{
+    ASSERT_FALSE(a.failed) << a.error;
+    ASSERT_FALSE(b.failed) << b.error;
+    EXPECT_EQ(a.shared.totalCycles, b.shared.totalCycles);
+    ASSERT_EQ(a.shared.threads.size(), b.shared.threads.size());
+    for (std::size_t t = 0; t < a.shared.threads.size(); ++t) {
+        const ThreadResult &x = a.shared.threads[t];
+        const ThreadResult &y = b.shared.threads[t];
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.cycles, y.cycles);
+        EXPECT_EQ(x.memStallCycles, y.memStallCycles);
+        EXPECT_EQ(x.dramReads, y.dramReads);
+        EXPECT_EQ(x.dramWrites, y.dramWrites);
+        EXPECT_EQ(x.rowHits, y.rowHits);
+    }
+    EXPECT_EQ(a.metrics.slowdowns, b.metrics.slowdowns);
+    EXPECT_EQ(a.metrics.unfairness, b.metrics.unfairness);
+}
+
+TEST(Spec, MixedCoreCountsUseEachCountsBaseline)
+{
+    EnvGuard guard;
+    const ExperimentSpec mixed = specFromText(R"({
+        "name": "mixed",
+        "workloads": ["fig1_four_core", "fig1_eight_core"],
+        "schedulers": ["FR-FCFS"],
+        "budget": 3000
+    })");
+    const ExperimentSpec alone = specFromText(R"({
+        "name": "eight",
+        "workloads": ["fig1_eight_core"],
+        "schedulers": ["FR-FCFS"],
+        "budget": 3000
+    })");
+    const ExperimentResult a = runExperiment(mixed);
+    const ExperimentResult b = runExperiment(alone);
+    ASSERT_EQ(a.rows(), 2u);
+    // The 8-core mix runs on its own 2-channel memory system, exactly
+    // as in a spec of its own; the echoed base stays the first size's.
+    expectSameRun(a.outcome(1, 0), b.outcome(0, 0));
+    EXPECT_EQ(a.base.memory.channels, 1u);
+    EXPECT_EQ(b.base.memory.channels, 2u);
+}
+
+TEST(Spec, EntryConfigOverlaysItsRunsAndBaselines)
+{
+    EnvGuard guard;
+    const ExperimentSpec spec = specFromText(R"({
+        "name": "overlay",
+        "workloads": [["mcf", "libquantum"]],
+        "schedulers": ["FR-FCFS",
+                       {"label": "linear", "policy": "FR-FCFS",
+                        "config": {"memory": {"xorBankMapping": false}}}],
+        "config": {"warmupInstructions": 2000},
+        "budget": 5000
+    })");
+    // The override survives the results echo.
+    EXPECT_EQ(toJson(specFromJson(toJson(spec))).dump(),
+              toJson(spec).dump());
+
+    const ExperimentPlan plan = planExperiment(spec);
+    ExperimentRunner runner(plan.base);
+    configureRunner(runner, plan);
+    const std::vector<RunOutcome> outcomes = runner.runMany(plan.jobs, 1);
+    ASSERT_EQ(outcomes.size(), 2u);
+
+    // The same run by hand on the overridden configuration.
+    SimConfig linear = SimConfig::baseline(2);
+    linear.warmupInstructions = 2000;
+    linear.instructionBudget = 5000;
+    linear.memory.xorBankMapping = false;
+    ExperimentRunner by_hand(linear);
+    expectSameRun(outcomes[1], by_hand.run({"mcf", "libquantum"},
+                                           SchedulerConfig{}));
+
+    // Each entry measured its own alone baselines.
+    EXPECT_EQ(runner.aloneSnapshot().size(), 4u);
+    EXPECT_NE(runner.aloneResult("mcf").cycles,
+              by_hand.aloneResult("mcf").cycles);
+}
+
+TEST(Figures, EveryFigureIsARoundTrippingSpec)
+{
+    EnvGuard guard;
+    // A job grid as text: everything a worker needs to re-derive it.
+    const auto grid = [](const ExperimentPlan &plan) {
+        std::string text = toJson(plan.base).dump();
+        for (const RunJob &job : plan.jobs) {
+            text += "\n" + workloadLabel(job.workload) + " " +
+                    toJson(job.scheduler).dump() + " " +
+                    std::to_string(job.seedSalt) + " " + job.device + " " +
+                    job.overrides.dump();
+        }
+        for (const auto &[name, profile] : plan.spec.benchmarks)
+            text += "\n" + name + " " + std::to_string(profile.trace.mpki);
+        return text;
+    };
+    for (const Figure &figure : figureRegistry()) {
+        for (const bool full : {false, true}) {
+            SCOPED_TRACE(figure.name + (full ? " --full" : ""));
+            const ExperimentSpec spec = figure.spec(full);
+            EXPECT_EQ(spec.name, figure.name);
+            const ExperimentPlan plan = planExperiment(spec);
+            EXPECT_FALSE(plan.jobs.empty());
+            EXPECT_EQ(grid(planExperiment(specFromJson(toJson(spec)))),
+                      grid(plan));
+        }
+    }
 }
 
 TEST(Spec, RepeatReseedsTraces)
