@@ -1,5 +1,7 @@
 #include "core/stfm.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "obs/telemetry.hh"
 #include "sched/fr_fcfs.hh"
@@ -8,7 +10,7 @@ namespace stfm
 {
 
 StfmPolicy::StfmPolicy(const StfmParams &params, unsigned num_threads,
-                       unsigned total_banks)
+                       unsigned total_banks, unsigned channels)
     : params_(params), tracker_([&] {
           SlowdownTrackerParams tp;
           tp.numThreads = num_threads;
@@ -20,7 +22,7 @@ StfmPolicy::StfmPolicy(const StfmParams &params, unsigned num_threads,
           return tp;
       }()),
       prepOwner_(total_banks, kInvalidThread), prepUntil_(total_banks, 0),
-      busOwner_(32, kInvalidThread), busUntil_(32, 0),
+      busOwner_(channels, kInvalidThread), busUntil_(channels, 0),
       chargedCycles_(num_threads, 0), unchargedCycles_(num_threads, 0),
       lastStall_(num_threads, 0)
 {}
@@ -61,7 +63,7 @@ StfmPolicy::beginCycle(const SchedContext &ctx)
     // where the paper's per-scheduling-event description loses
     // discrimination (see DESIGN.md, deliberate simplifications).
     if (ctx.occupancy && !params_.requestLevelEstimator) {
-        const unsigned total_banks = ctx.occupancy->totalBanks();
+        const ThreadBankOccupancy &occ = *ctx.occupancy;
         for (unsigned t = 0; t < ctx.numThreads; ++t) {
             // Stall the thread actually accrued since the last DRAM
             // cycle: the charge below is a fraction of this, never
@@ -73,35 +75,39 @@ StfmPolicy::beginCycle(const SchedContext &ctx)
                     static_cast<double>(current - lastStall_[t]);
                 lastStall_[t] = current;
             }
-            const unsigned bwp =
-                ctx.occupancy->bankWaitingParallelism(t);
+            const unsigned bwp = occ.bankWaitingParallelism(t);
             if (bwp == 0 || stall_delta <= 0.0)
                 continue;
+            // Visit only the banks holding the thread's waiting
+            // blocking reads: O(bwp) per thread, not O(banks).
             unsigned blocked = 0;
-            for (unsigned g = 0; g < total_banks; ++g) {
-                if (ctx.occupancy->waitingBlocking(t, g) == 0)
-                    continue;
-                if (ctx.occupancy->inService(t, g) > 0)
-                    continue; // Behind its own access: not interference.
-                // Foreign activity in the bank itself (column service
-                // or a precharge/activate in flight)...
-                bool foreign_busy =
-                    prepUntil_[g] > ctx.dramNow && prepOwner_[g] != t;
-                for (unsigned o = 0;
-                     o < ctx.numThreads && !foreign_busy; ++o) {
-                    foreign_busy =
-                        o != t && ctx.occupancy->inService(o, g) > 0;
+            const std::span<const std::uint64_t> words =
+                occ.blockingBanks(t);
+            for (std::size_t w = 0; w < words.size(); ++w) {
+                for (std::uint64_t bits = words[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const unsigned g = static_cast<unsigned>(
+                        w * 64 + std::countr_zero(bits));
+                    if (occ.inService(t, g) > 0)
+                        continue; // Behind its own access: not interference.
+                    // Foreign activity in the bank itself (column
+                    // service — any in service here is another
+                    // thread's, since the thread's own was skipped —
+                    // or a precharge/activate in flight)...
+                    bool foreign_busy =
+                        occ.bankInService(g) > 0 ||
+                        (prepUntil_[g] > ctx.dramNow && prepOwner_[g] != t);
+                    // ...or another thread's burst occupying the
+                    // channel's data bus: in a loaded system most of a
+                    // request's wait is for the shared bus, not its bank.
+                    if (!foreign_busy) {
+                        const unsigned ch = g / ctx.banksPerChannel;
+                        foreign_busy = busUntil_[ch] > ctx.dramNow &&
+                                       busOwner_[ch] != t;
+                    }
+                    if (foreign_busy)
+                        ++blocked;
                 }
-                // ...or another thread's burst occupying the channel's
-                // data bus: in a loaded system most of a request's wait
-                // is for the shared bus, not its bank.
-                if (!foreign_busy) {
-                    const unsigned ch = g / ctx.banksPerChannel;
-                    foreign_busy = busUntil_[ch] > ctx.dramNow &&
-                                   busOwner_[ch] != t;
-                }
-                if (foreign_busy)
-                    ++blocked;
             }
             if (blocked > 0) {
                 tracker_.addStallInterference(

@@ -56,7 +56,7 @@ class StfmPolicy : public SchedulingPolicy
 {
   public:
     StfmPolicy(const StfmParams &params, unsigned num_threads,
-               unsigned total_banks);
+               unsigned total_banks, unsigned channels);
 
     std::string name() const override { return "STFM"; }
 

@@ -356,13 +356,15 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
     // mshrInUse() != 0 (see the header contract).
     if (!pendingWritebacks_.empty() || fetchBlockedByMemory_)
         return now;
+    ++burstStats_.bursts;
 
+    const unsigned F = params_.commitWidth;
     Cycles c = now;
     // `committed_ + commitWidth < commit_cap` keeps every executed
     // cycle strictly below the cap, so the caller's threshold scan can
     // never fire early off run-ahead state; the crossing cycle itself
     // runs through the normal tick() path.
-    while (c < end && committed_ + params_.commitWidth < commit_cap) {
+    while (c < end && committed_ + F < commit_cap) {
         // Stall cycles stay outside bursts: when the oldest instruction
         // is a blocked L2 miss (in flight, merged, or still paying its
         // DRAM return-path overhead), this cycle would increment the
@@ -374,51 +376,64 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
             if (h.l2Miss && (h.memWait || h.readyAt > c))
                 return c;
         }
-        // Steady-state ALU stretch: with symmetric widths, a window
-        // holding exactly F entries that all commit this cycle, and >= F
-        // banked ALU credits, the next n cycles each commit F entries
-        // and fetch F ALU slots — a closed-form state update. Only the
-        // F slots live at the end survive (everything in between is
-        // fetched and committed inside the batch), so the whole stretch
-        // reduces to bumping the counters and writing those F slots,
-        // exactly as a cycle-by-cycle run would leave them. ALU slots
-        // never touch the caches, the trace decode state, lastLoadPos_,
-        // or lastMissPos_, and the cap guard below keeps every executed
-        // cycle strictly under commit_cap, matching the per-cycle guard.
-        const unsigned F = params_.commitWidth;
-        if (params_.fetchWidth == F && tail_ - head_ == F &&
-            aluCredit_ >= F) {
-            bool all_ready = true;
-            for (unsigned n = 0; n < F; ++n) {
-                if (window_[(head_ + n) & windowMask_].readyAt > c) {
-                    all_ready = false;
+        // Steady ALU stretch, in closed form (DESIGN.md, batch rule).
+        // With equal widths, k >= F window entries and >= F banked ALU
+        // credits, a cycle whose commit group (the oldest F entries) is
+        // all done commits F and fetches F ALU slots: k stays put and
+        // entry i commits at cycle c + i/F. A slot fetched inside the
+        // stretch is done a cycle after its fetch and, as k >= F,
+        // commits no earlier, so only the k entries present now can
+        // end the stretch: at the first cycle whose group holds an
+        // entry not done by then. ALU slots never touch the caches,
+        // the trace decode state, lastLoadPos_ or lastMissPos_, so the
+        // stretch reduces to bumping the counters and writing the last
+        // min(k, nF) slots fetched — the ones still live at its end —
+        // exactly as a cycle-by-cycle run would leave them.
+        const std::uint64_t k = tail_ - head_;
+        if (params_.fetchWidth == F && k >= F && aluCredit_ >= F) {
+            // Per-cycle cap guard: committed_ + jF + F < cap for every
+            // executed cycle j in [0, n).
+            std::uint64_t n = std::min<std::uint64_t>(
+                {aluCredit_ / F, end - c, (commit_cap - committed_ - 1) / F});
+            const std::uint64_t scan = std::min(k, n * F);
+            Cycles due = c; // Commit cycle of entry i.
+            unsigned lane = 0;
+            for (std::uint64_t i = 0; i < scan; ++i) {
+                const WindowEntry &e = window_[(head_ + i) & windowMask_];
+                if (e.memWait || e.readyAt > due) {
+                    n = due - c;
                     break;
                 }
-            }
-            if (all_ready) {
-                std::uint64_t n = std::min<std::uint64_t>(
-                    aluCredit_ / F, end - c);
-                // Per-cycle guard: committed_ + jF + F < cap for every
-                // executed cycle j in [0, n).
-                const std::uint64_t cap_room =
-                    (commit_cap - committed_ - 1) / F;
-                n = std::min(n, cap_room);
-                if (n > 0) {
-                    head_ += n * F;
-                    tail_ += n * F;
-                    committed_ += n * F;
-                    aluCredit_ -= static_cast<std::uint32_t>(n * F);
-                    c += n;
-                    // The F live entries were fetched at cycle c - 1.
-                    for (unsigned k = 0; k < F; ++k) {
-                        WindowEntry &e =
-                            window_[(tail_ - F + k) & windowMask_];
-                        e.readyAt = c;
-                        e.memWait = false;
-                        e.l2Miss = false;
-                    }
-                    continue;
+                if (++lane == F) {
+                    lane = 0;
+                    ++due;
                 }
+            }
+            if (n > 0) {
+                const std::uint64_t slots = n * F;
+                const std::uint64_t live = std::min(k, slots);
+                head_ += slots;
+                tail_ += slots;
+                committed_ += slots;
+                aluCredit_ -= static_cast<std::uint32_t>(slots);
+                // Stretch slot s was fetched at cycle c + s/F; the live
+                // ones are s in [slots - live, slots).
+                const std::uint64_t first = slots - live;
+                Cycles ready = c + 1 + first / F;
+                lane = static_cast<unsigned>(first % F);
+                for (std::uint64_t p = tail_ - live; p != tail_; ++p) {
+                    WindowEntry &e = window_[p & windowMask_];
+                    e.readyAt = ready;
+                    e.memWait = false;
+                    e.l2Miss = false;
+                    if (++lane == F) {
+                        lane = 0;
+                        ++ready;
+                    }
+                }
+                c += n;
+                burstStats_.batchedCycles += n;
+                continue;
             }
         }
 
@@ -426,6 +441,7 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
         const std::uint64_t tail0 = tail_;
         const std::uint64_t committed0 = committed_;
         commit(c);
+        ++burstStats_.steppedCycles;
         if (!fetch(c, /*burst=*/true)) {
             // The memory op would leave the core: roll the cycle back
             // for tick() to rerun. fetch() stopped before touching it,
@@ -438,6 +454,7 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
             head_ = head0;
             tail_ = tail0;
             committed_ = committed0;
+            ++burstStats_.rollbacks;
             return c;
         }
 

@@ -50,6 +50,31 @@ struct CoreParams
     unsigned maxPendingWritebacks = 8;
 };
 
+/** Work counts of Core::runAhead(): engine observability only, never
+ *  read by the simulation. */
+struct RunAheadStats
+{
+    std::uint64_t bursts = 0; ///< Calls that passed the eligibility check.
+    /** Burst cycles run by the closed-form ALU batch. */
+    std::uint64_t batchedCycles = 0;
+    /** Burst cycles run one at a time through commit()/fetch(), rolled
+     *  back ones included; an idle stretch jumped after one is not. */
+    std::uint64_t steppedCycles = 0;
+    /** Stepped cycles rolled back for tick() to rerun (at most one per
+     *  burst). */
+    std::uint64_t rollbacks = 0;
+
+    RunAheadStats &
+    operator+=(const RunAheadStats &o)
+    {
+        bursts += o.bursts;
+        batchedCycles += o.batchedCycles;
+        steppedCycles += o.steppedCycles;
+        rollbacks += o.rollbacks;
+        return *this;
+    }
+};
+
 class Core
 {
   public:
@@ -108,19 +133,20 @@ class Core
      * L2 misses, loads and store fills that coalesce into an existing
      * MSHR entry never leave the core. This executes cycles
      * [@p now, ...) in a tight loop of the same commit()/fetch() step
-     * tick() runs — batching steady ALU stretches in closed form and
-     * jumping idle (dependence- or latency-blocked) stretches
-     * analytically — stopping *before* the first cycle that would touch
-     * the memory system (memOpLeavesCore(): a new L2 miss, a new store
-     * fill, a non-temporal store), before the first *stall* cycle (the
-     * oldest instruction a blocked L2 miss — the cycle a completion
-     * matters and the stall counter must advance), before any cycle
-     * that could push the committed-instruction count to @p commit_cap
-     * (so the caller's per-cycle snapshot/freeze scan still fires on
-     * the exact cycle), and at @p end. fetch() declines a memory op
-     * that would leave the core before touching anything; that cycle is
-     * rolled back and re-executed later through tick() at the correct
-     * global cycle.
+     * tick() runs — batching steady ALU stretches in closed form at any
+     * window occupancy of at least one commit group (equal fetch and
+     * commit widths) and jumping idle (dependence- or latency-blocked)
+     * stretches analytically — stopping *before* the first cycle that
+     * would touch the memory system (memOpLeavesCore(): a new L2 miss,
+     * a new store fill, a non-temporal store), before the first *stall*
+     * cycle (the oldest instruction a blocked L2 miss — the cycle a
+     * completion matters and the stall counter must advance), before
+     * any cycle that could push the committed-instruction count to
+     * @p commit_cap (so the caller's per-cycle snapshot/freeze scan
+     * still fires on the exact cycle), and at @p end. fetch() declines
+     * a memory op that would leave the core before touching anything;
+     * that cycle is rolled back and re-executed later through tick() at
+     * the correct global cycle.
      *
      * When mshrInUse() != 0 the caller MUST cap @p end at the earliest
      * cycle a completion for this thread could be *observed*
@@ -152,6 +178,7 @@ class Core
     std::uint64_t l2Hits() const { return l2_.hits(); }
     /** MSHR entries currently allocated (misses in flight). */
     unsigned mshrInUse() const { return mshr_.inUse(); }
+    const RunAheadStats &runAheadStats() const { return burstStats_; }
 
     /** Register this core's gauges/counters (core.t<id>.*) into the
      *  telemetry registry. */
@@ -238,6 +265,7 @@ class Core
 
     std::uint64_t committed_ = 0;
     Cycles memStall_ = 0;
+    RunAheadStats burstStats_;
 };
 
 } // namespace stfm

@@ -18,7 +18,8 @@ MemorySystem::MemorySystem(const MemoryConfig &config,
       occupancy_(num_threads, config.channels * config.banksPerChannel),
       policy_(makeSchedulingPolicy(sched_config, num_threads,
                                    config.channels *
-                                       config.banksPerChannel))
+                                       config.banksPerChannel,
+                                   config.channels))
 {
     STFM_ASSERT(num_threads <= 32,
                 "thread bitmasks limit the system to 32 threads "

@@ -22,6 +22,7 @@
 #define STFM_MEM_OCCUPANCY_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -36,9 +37,12 @@ class ThreadBankOccupancy
   public:
     ThreadBankOccupancy(unsigned threads, unsigned total_banks)
         : threads_(threads), banks_(total_banks),
+          maskWords_((total_banks + 63) / 64),
           waiting_(threads * total_banks, 0),
           waitingBlocking_(threads * total_banks, 0),
           inService_(threads * total_banks, 0),
+          bankInService_(total_banks, 0),
+          blockingMask_(threads * maskWords_, 0),
           waitingBanksBlocking_(threads, 0), serviceBanks_(threads, 0),
           waitingTotal_(threads, 0)
     {}
@@ -48,8 +52,10 @@ class ThreadBankOccupancy
     onArrive(ThreadId t, unsigned bank, bool blocking)
     {
         ++waiting_[idx(t, bank)];
-        if (blocking && waitingBlocking_[idx(t, bank)]++ == 0)
+        if (blocking && waitingBlocking_[idx(t, bank)]++ == 0) {
             ++waitingBanksBlocking_[t];
+            maskWord(t, bank) |= maskBit(bank);
+        }
         ++waitingTotal_[t];
     }
 
@@ -62,11 +68,14 @@ class ThreadBankOccupancy
                     "with no waiting read",
                     t, bank);
         --waiting_[idx(t, bank)];
-        if (blocking && --waitingBlocking_[idx(t, bank)] == 0)
+        if (blocking && --waitingBlocking_[idx(t, bank)] == 0) {
             --waitingBanksBlocking_[t];
+            maskWord(t, bank) &= ~maskBit(bank);
+        }
         --waitingTotal_[t];
         if (inService_[idx(t, bank)]++ == 0)
             ++serviceBanks_[t];
+        ++bankInService_[bank];
     }
 
     /** The read's data burst finished. */
@@ -79,6 +88,7 @@ class ThreadBankOccupancy
                     t, bank);
         if (--inService_[idx(t, bank)] == 0)
             --serviceBanks_[t];
+        --bankInService_[bank];
     }
 
     /** Banks with >= 1 waiting *blocking* read from @p t
@@ -112,23 +122,50 @@ class ThreadBankOccupancy
         return inService_[idx(t, bank)];
     }
 
+    /** Reads from all threads currently in service in @p bank. */
+    unsigned bankInService(unsigned bank) const
+    {
+        return bankInService_[bank];
+    }
+
+    /**
+     * The banks holding a waiting blocking read from @p t, as bitmask
+     * words: bank g is bit g % 64 of word g / 64. The set bits are
+     * exactly the banks bankWaitingParallelism(t) counts.
+     */
+    std::span<const std::uint64_t> blockingBanks(ThreadId t) const
+    {
+        return {blockingMask_.data() + std::size_t{t} * maskWords_,
+                maskWords_};
+    }
+
     /** Total waiting reads from @p t across all banks. */
     unsigned waitingTotal(ThreadId t) const { return waitingTotal_[t]; }
 
     unsigned threads() const { return threads_; }
-    unsigned totalBanks() const { return banks_; }
 
   private:
     std::size_t idx(ThreadId t, unsigned bank) const
     {
         return static_cast<std::size_t>(t) * banks_ + bank;
     }
+    std::uint64_t &maskWord(ThreadId t, unsigned bank)
+    {
+        return blockingMask_[std::size_t{t} * maskWords_ + bank / 64];
+    }
+    static std::uint64_t maskBit(unsigned bank)
+    {
+        return std::uint64_t{1} << (bank % 64);
+    }
 
     unsigned threads_;
     unsigned banks_;
+    unsigned maskWords_;
     std::vector<std::uint32_t> waiting_;
     std::vector<std::uint32_t> waitingBlocking_;
     std::vector<std::uint32_t> inService_;
+    std::vector<std::uint32_t> bankInService_;
+    std::vector<std::uint64_t> blockingMask_;
     std::vector<std::uint32_t> waitingBanksBlocking_;
     std::vector<std::uint32_t> serviceBanks_;
     std::vector<std::uint32_t> waitingTotal_;

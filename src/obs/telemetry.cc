@@ -148,6 +148,19 @@ telemetryCatalog()
          "instructions committed"},
         {"core.t<n>.llcMisses", "counter", "requests", "core",
          "L2 (last-level cache) misses; DRAM demand accesses"},
+        // Simulation engine: work counts of the fast path, summed over
+        // the cores (all zero on the reference path).
+        {"sim.runAhead.bursts", "counter", "bursts", "sim",
+         "run-ahead bursts entered (Core::runAhead calls that passed "
+         "the eligibility check)"},
+        {"sim.runAhead.batchedCycles", "counter", "cpu-cycles", "sim",
+         "burst cycles run by the closed-form ALU batch"},
+        {"sim.runAhead.steppedCycles", "counter", "cpu-cycles", "sim",
+         "burst cycles run one at a time through commit()/fetch(), "
+         "rolled-back ones included"},
+        {"sim.runAhead.rollbacks", "counter", "cpu-cycles", "sim",
+         "stepped cycles rolled back for tick() to rerun (the memory "
+         "op would leave the core)"},
         // Fleet supervisor (process-pool tier; registered by
         // registerFleetTelemetry over FleetStats, not by a simulated
         // run — written to <checkpoint>/fleet_counters.json).

@@ -24,7 +24,7 @@ toString(PolicyKind kind)
 
 std::unique_ptr<SchedulingPolicy>
 makeSchedulingPolicy(const SchedulerConfig &config, unsigned num_threads,
-                     unsigned total_banks)
+                     unsigned total_banks, unsigned channels)
 {
     switch (config.kind) {
       case PolicyKind::FrFcfs:
@@ -47,7 +47,7 @@ makeSchedulingPolicy(const SchedulerConfig &config, unsigned num_threads,
         params.requestLevelEstimator = config.requestLevelEstimator;
         params.weights = config.weights;
         return std::make_unique<StfmPolicy>(params, num_threads,
-                                            total_banks);
+                                            total_banks, channels);
       }
     }
     return nullptr;

@@ -247,11 +247,12 @@ struct SchedulerConfig
 
 /**
  * Instantiate a policy. @p num_threads sizes the per-thread state,
- * @p total_banks the per-bank state (banks summed over channels).
+ * @p total_banks the per-bank state (banks summed over channels) and
+ * @p channels the per-channel state.
  */
 std::unique_ptr<SchedulingPolicy>
 makeSchedulingPolicy(const SchedulerConfig &config, unsigned num_threads,
-                     unsigned total_banks);
+                     unsigned total_banks, unsigned channels);
 
 } // namespace stfm
 

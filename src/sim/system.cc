@@ -53,10 +53,33 @@ CmpSystem::CmpSystem(const SimConfig &config,
         obs_ = std::make_unique<ObsSession>(config_.telemetry,
                                             config_.memory.timing);
         memory_.registerObservability(*obs_);
+        TelemetryRegistry &registry = obs_->registry();
         for (auto &core : cores_)
-            core->registerTelemetry(obs_->registry());
+            core->registerTelemetry(registry);
+        const auto engine = [&](const char *name, const char *unit,
+                                std::uint64_t RunAheadStats::*field) {
+            registry.counter(name, unit, "sim", [this, field] {
+                return static_cast<double>(runAheadStats().*field);
+            });
+        };
+        engine("sim.runAhead.bursts", "bursts", &RunAheadStats::bursts);
+        engine("sim.runAhead.batchedCycles", "cpu-cycles",
+               &RunAheadStats::batchedCycles);
+        engine("sim.runAhead.steppedCycles", "cpu-cycles",
+               &RunAheadStats::steppedCycles);
+        engine("sim.runAhead.rollbacks", "cpu-cycles",
+               &RunAheadStats::rollbacks);
         obs_->start(memory_.dramNow());
     }
+}
+
+RunAheadStats
+CmpSystem::runAheadStats() const
+{
+    RunAheadStats total;
+    for (const auto &core : cores_)
+        total += core->runAheadStats();
+    return total;
 }
 
 void

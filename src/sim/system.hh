@@ -147,6 +147,10 @@ class CmpSystem
      */
     const ObsSession *obs() const { return obs_.get(); }
 
+    /** Core::runAhead() work counts summed over the cores; all zero
+     *  on the reference path, which never bursts. */
+    RunAheadStats runAheadStats() const;
+
   private:
     /** Counter snapshot taken when a thread finishes its warmup. */
     struct WarmSnapshot

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -284,6 +285,103 @@ TEST(Core, WindowLimitsMlp)
     Core core(0, CoreParams{}, trace, memory);
     run(core, 0, 120);
     EXPECT_LE(memory.reads.size(), 2u);
+}
+
+/** Reads issued since the last call, as completions @p latency
+ *  cycles after @p now. */
+void
+scheduleCompletions(const StubMemory &memory, std::size_t &seen,
+                    Cycles now, Cycles latency,
+                    std::deque<std::pair<Cycles, Addr>> &due)
+{
+    for (; seen < memory.reads.size(); ++seen)
+        due.emplace_back(now + latency, memory.reads[seen].addr);
+}
+
+TEST(Core, RunAheadMatchesTickingAtEveryWindowSize)
+{
+    // Each round: a miss fills the window behind it, then ALU stretches
+    // with L2-hit and L1-hit loads (the round's four prewarmed lines,
+    // each touched more than once) run at up to a full window.
+    constexpr Addr kWarm = 0x800000;
+    std::vector<TraceOp> ops;
+    std::vector<WarmLine> warm;
+    for (unsigned round = 0; round < 6; ++round) {
+        ops.push_back(loadOp(0x1000000 + round * 0x100000, 2));
+        for (unsigned i = 0; i < 10; ++i) {
+            ops.push_back(
+                loadOp(kWarm + round * 256 + (i % 4) * 64, 4 + 9 * i));
+        }
+        for (unsigned j = 0; j < 4; ++j)
+            warm.push_back({kWarm + round * 256 + j * 64, false});
+    }
+    constexpr Cycles kLatency = 150;
+
+    for (const unsigned window : {4u, 16u, 128u}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        CoreParams params;
+        params.windowSize = window;
+        ScriptedTrace trace_a(ops);
+        ScriptedTrace trace_b(ops);
+        StubMemory memory_a;
+        StubMemory memory_b;
+        Core a(0, params, trace_a, memory_a);
+        Core b(0, params, trace_b, memory_b);
+        a.prewarmCaches(warm);
+        b.prewarmCaches(warm);
+
+        // Core a ticks every cycle. Core b runs ahead the way
+        // CmpSystem::run does: a burst from each cycle it is due,
+        // capped while a miss is in flight so it ends on the cycle the
+        // completion lands (data delivered at cycle C is observable
+        // from C + 1), and a real tick when no burst can start.
+        std::deque<std::pair<Cycles, Addr>> due_a;
+        std::deque<std::pair<Cycles, Addr>> due_b;
+        std::size_t seen_a = 0;
+        std::size_t seen_b = 0;
+        Cycles next_b = 0;
+        unsigned synced = 0;
+        for (Cycles c = 0; c < 4000; ++c) {
+            a.tick(c);
+            scheduleCompletions(memory_a, seen_a, c, kLatency, due_a);
+            if (c >= next_b) {
+                Cycles end = c + 512;
+                if (b.mshrInUse() != 0) {
+                    ASSERT_FALSE(due_b.empty());
+                    end = std::min(end, due_b.front().first + 1);
+                }
+                next_b = b.runAhead(c, end, ~0ULL);
+                if (next_b == c) {
+                    b.tick(c);
+                    next_b = c + 1;
+                    scheduleCompletions(memory_b, seen_b, c, kLatency,
+                                        due_b);
+                }
+            }
+            for (; !due_a.empty() && due_a.front().first == c;
+                 due_a.pop_front())
+                a.onReadComplete(due_a.front().second, c);
+            for (; !due_b.empty() && due_b.front().first == c;
+                 due_b.pop_front()) {
+                ASSERT_EQ(next_b, c + 1) << "burst ran past a completion";
+                b.onReadComplete(due_b.front().second, c);
+            }
+            if (next_b == c + 1) {
+                ++synced;
+                ASSERT_EQ(a.instructionsCommitted(),
+                          b.instructionsCommitted())
+                    << "cycle " << c;
+                ASSERT_EQ(a.memStallCycles(), b.memStallCycles())
+                    << "cycle " << c;
+            }
+        }
+        EXPECT_EQ(memory_a.reads.size(), 6u);
+        EXPECT_EQ(memory_b.reads.size(), memory_a.reads.size());
+        EXPECT_EQ(a.l1Hits(), b.l1Hits());
+        EXPECT_EQ(a.l2Hits(), b.l2Hits());
+        EXPECT_GT(synced, 100u);
+        EXPECT_GT(b.runAheadStats().batchedCycles, 0u);
+    }
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include "mem/controller.hh"
 #include "sched/fr_fcfs.hh"
 #include "sim/system.hh"
+#include "trace/catalog.hh"
 #include "trace/generator.hh"
 
 namespace stfm
@@ -44,7 +45,14 @@ TraceProfile
 randomProfile(Rng &rng)
 {
     TraceProfile p;
-    p.mpki = 1.0 + rng.nextDouble() * 39.0;
+    // One profile in three is light: long ALU stretches between rare
+    // misses and cache hits, which run ahead at a full window.
+    if (rng.nextBool(1.0 / 3.0)) {
+        p.mpki = 0.05 + rng.nextDouble() * 0.95;
+        p.hitAccessesPer1k = 10.0 + rng.nextDouble() * 50.0;
+    } else {
+        p.mpki = 1.0 + rng.nextDouble() * 39.0;
+    }
     p.rowBufferHitRate = 0.10 + rng.nextDouble() * 0.85;
     p.burstDuty = 0.20 + rng.nextDouble() * 0.80;
     p.streamCount = 1 + static_cast<unsigned>(rng.nextBelow(4));
@@ -196,8 +204,8 @@ class InterestingCycleHarness
     explicit InterestingCycleHarness(const SchedulerConfig &sched)
         : mapping_(1, kBanks, 16 * 1024, 64, 16 * 1024, true),
           occupancyA_(kThreads, kBanks), occupancyB_(kThreads, kBanks),
-          policyA_(makeSchedulingPolicy(sched, kThreads, kBanks)),
-          policyB_(makeSchedulingPolicy(sched, kThreads, kBanks)),
+          policyA_(makeSchedulingPolicy(sched, kThreads, kBanks, 1)),
+          policyB_(makeSchedulingPolicy(sched, kThreads, kBanks, 1)),
           stalls_(kThreads, 1000)
     {
         a_ = std::make_unique<MemoryController>(
@@ -408,8 +416,11 @@ TEST_P(FigureSpecEquivalence, AllSchedulersBitExact)
     }
 }
 
+// fig12's first two rows bring the 16-core, 4-channel geometry and the
+// eight light threads of high8_low8.
 INSTANTIATE_TEST_SUITE_P(PaperFigures, FigureSpecEquivalence,
-                         ::testing::Values("fig06", "fig09", "fig11"),
+                         ::testing::Values("fig06", "fig09", "fig11",
+                                           "fig12"),
                          [](const ::testing::TestParamInfo<const char *>
                                 &info) { return info.param; });
 
@@ -477,6 +488,76 @@ TEST(FastForwardSoak, RandomSeedsStayBitExact)
         const SimResult opt = runOnce(fast, profiles, seed);
         expectIdenticalResults(ref, opt);
     }
+}
+
+TEST(FastForwardSoak, SixtyFourChannelStfmMatchesReference)
+{
+    // STFM keeps per-channel data-bus tables; every channel must have
+    // its own entry, however many channels the geometry has.
+    SimConfig config = SimConfig::baseline(2);
+    config.instructionBudget = 2000;
+    config.warmupInstructions = 500;
+    config.memory.channels = 64;
+    config.scheduler.kind = PolicyKind::Stfm;
+    Rng rng(64);
+    const std::vector<TraceProfile> profiles = {randomProfile(rng),
+                                                randomProfile(rng)};
+
+    SimConfig reference = config;
+    reference.fastForward = false;
+    SimConfig fast = config;
+    fast.fastForward = true;
+    expectIdenticalResults(runOnce(reference, profiles, 7),
+                           runOnce(fast, profiles, 7));
+}
+
+// ---------------------------------------------------------------------
+// Run-ahead work counters.
+// ---------------------------------------------------------------------
+
+RunAheadStats
+povrayRunAheadStats(bool fast_forward)
+{
+    SimConfig config = SimConfig::baseline(1);
+    config.instructionBudget = 20000;
+    config.warmupInstructions = 10000;
+    config.fastForward = fast_forward;
+    AddressMapping mapping(config.memory.channels,
+                           config.memory.banksPerChannel,
+                           config.memory.rowBytes, config.memory.lineBytes,
+                           config.memory.rowsPerBank,
+                           config.memory.xorBankMapping);
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(
+        makeBenchmarkTrace(findBenchmark("povray"), mapping, 0, 1));
+    CmpSystem system(config, std::move(traces));
+    system.run();
+    return system.runAheadStats();
+}
+
+TEST(FastForwardRunAhead, LightCoreBatchesItsAluStretches)
+{
+    // povray's ALU stretches run at a full window (any L2 hit fills
+    // it): the closed-form batch must cover them, not cycle stepping.
+    const RunAheadStats a = povrayRunAheadStats(true);
+    const std::uint64_t burst_cycles = a.batchedCycles + a.steppedCycles;
+    EXPECT_GT(a.bursts, 0u);
+    EXPECT_GE(a.batchedCycles * 10, burst_cycles * 9)
+        << a.batchedCycles << " of " << burst_cycles
+        << " burst cycles batched";
+
+    const RunAheadStats b = povrayRunAheadStats(true);
+    EXPECT_EQ(a.bursts, b.bursts);
+    EXPECT_EQ(a.batchedCycles, b.batchedCycles);
+    EXPECT_EQ(a.steppedCycles, b.steppedCycles);
+    EXPECT_EQ(a.rollbacks, b.rollbacks);
+
+    // The reference path never bursts.
+    const RunAheadStats ref = povrayRunAheadStats(false);
+    EXPECT_EQ(ref.bursts, 0u);
+    EXPECT_EQ(ref.batchedCycles, 0u);
+    EXPECT_EQ(ref.steppedCycles, 0u);
+    EXPECT_EQ(ref.rollbacks, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -148,7 +148,7 @@ TEST(Factory, CreatesEveryKind)
           PolicyKind::Nfq, PolicyKind::Stfm}) {
         SchedulerConfig config;
         config.kind = kind;
-        const auto policy = makeSchedulingPolicy(config, 4, 8);
+        const auto policy = makeSchedulingPolicy(config, 4, 8, 1);
         ASSERT_NE(policy, nullptr);
         EXPECT_FALSE(policy->name().empty());
     }
@@ -162,7 +162,7 @@ TEST(Factory, NamesAreDistinct)
           PolicyKind::Nfq, PolicyKind::Stfm}) {
         SchedulerConfig config;
         config.kind = kind;
-        names.push_back(makeSchedulingPolicy(config, 2, 8)->name());
+        names.push_back(makeSchedulingPolicy(config, 2, 8, 1)->name());
     }
     std::sort(names.begin(), names.end());
     EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());

@@ -49,7 +49,7 @@ TEST_P(PolicySoak, ConservationAndLegalityUnderRandomTraffic)
     SchedulerConfig sched_config;
     sched_config.kind = GetParam();
     const auto policy =
-        makeSchedulingPolicy(sched_config, kThreads, kBanks);
+        makeSchedulingPolicy(sched_config, kThreads, kBanks, 1);
     ThreadBankOccupancy occupancy(kThreads, kBanks);
     MemoryController controller(0, kBanks, timing, params, *policy,
                                 occupancy, kThreads);

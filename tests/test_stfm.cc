@@ -32,7 +32,7 @@ class StfmTest : public ::testing::Test
         StfmParams params;
         params.alpha = 1.10;
         params.quantize = false;
-        policy_ = std::make_unique<StfmPolicy>(params, 4, 8);
+        policy_ = std::make_unique<StfmPolicy>(params, 4, 8, 1);
         stall_.assign(4, 0);
     }
 
@@ -115,7 +115,7 @@ TEST_F(StfmTest, BusInterferenceChargedToReadyColumnLosers)
     StfmParams params;
     params.busInterference = true;
     params.quantize = false;
-    StfmPolicy with_bus(params, 4, 8);
+    StfmPolicy with_bus(params, 4, 8, 1);
 
     const Request req = makeRequest(0, 1, 2);
     ColumnIssueEvent ev;
@@ -183,7 +183,7 @@ TEST_F(StfmTest, WeightsBiasPrioritization)
     params.alpha = 1.10;
     params.quantize = false;
     params.weights = {1.0, 8.0, 1.0, 1.0};
-    StfmPolicy weighted(params, 4, 8);
+    StfmPolicy weighted(params, 4, 8, 1);
 
     occupancy_.onArrive(0, 0, true);
     occupancy_.onArrive(1, 1, true);
@@ -203,7 +203,7 @@ TEST_F(StfmTest, AlphaGovernsModeSwitch)
     StfmParams params;
     params.alpha = 100.0; // Effectively disables the fairness rule.
     params.quantize = false;
-    StfmPolicy lenient(params, 4, 8);
+    StfmPolicy lenient(params, 4, 8, 1);
     occupancy_.onArrive(0, 0, true);
     occupancy_.onArrive(1, 1, true);
     stall_ = {1000, 1000, 0, 0};
