@@ -20,8 +20,6 @@
 #include "fleet/protocol.hh"
 #include "fleet/wire.hh"
 #include "obs/telemetry.hh"
-#include "report/html.hh"
-#include "report/rollup.hh"
 
 namespace stfm
 {
@@ -200,7 +198,7 @@ class Supervisor
   public:
     Supervisor(const ExperimentSpec &spec, const FleetOptions &options)
         : options_(options), plan_(planExperiment(spec)),
-          specEcho_(toJson(plan_.spec)), report_(spec.name)
+          specEcho_(toJson(plan_.spec))
     {
         outcome_.result = resultFromPlan(plan_);
         // Shards land by job index as they complete, in any order.
@@ -325,8 +323,6 @@ class Supervisor
                         outcomes[i],
                         formatMessage("%s outcome %zu",
                                       context.c_str(), i));
-                foldOutcome(shard.begin + i,
-                            outcome_.result.outcomes[shard.begin + i]);
             }
             shard.status = ShardStatus::Done;
             ++stats().shardsResumed;
@@ -635,26 +631,6 @@ class Supervisor
 
     // Outcomes --------------------------------------------------------
 
-    /**
-     * Stream one landed outcome into the fleet rollup. Folding happens
-     * the moment a shard completes (or replays from the manifest), in
-     * whatever order workers finish — the report builder's merge is
-     * order-independent, so <checkpoint>/report.json comes out
-     * byte-identical to an after-the-fact `stfm report` over the
-     * merged results.
-     */
-    void
-    foldOutcome(std::size_t job, const RunOutcome &outcome)
-    {
-        const std::size_t per = plan_.jobsPerRow();
-        const SchedulerEntry &sched = plan_.schedulers[job % per];
-        const std::size_t row = job / per;
-        report_.addOutcome(
-            sched.label, sched.device,
-            workloadLabel(plan_.workloads[row / plan_.spec.repeat]),
-            outcome, static_cast<int>(job % per));
-    }
-
     void
     completeShard(WorkerProc &worker, ShardResult &&result)
     {
@@ -677,8 +653,6 @@ class Supervisor
         for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
             outcome_.result.outcomes[shard.begin + i] =
                 std::move(result.outcomes[i]);
-            foldOutcome(shard.begin + i,
-                        outcome_.result.outcomes[shard.begin + i]);
         }
         for (auto &[key, baseline] : result.alone) {
             if (alone_.find(key) != alone_.end())
@@ -698,7 +672,7 @@ class Supervisor
         worker.busy = false;
         noteProgress(static_cast<unsigned>(worker.shard), "done",
                      shard.attempts);
-        streamArtifacts();
+        writeCounters(false);
     }
 
     void
@@ -718,7 +692,7 @@ class Supervisor
                 static_cast<unsigned>(index));
             noteProgress(static_cast<unsigned>(index), "FAILED",
                          shard.attempts);
-            streamArtifacts();
+            writeCounters(false);
             return;
         }
         ++stats().retries;
@@ -843,7 +817,6 @@ class Supervisor
                 failed.attempts = shard.attempts;
                 failed.error = shard.error;
                 outcome_.result.outcomes[j] = std::move(failed);
-                foldOutcome(j, outcome_.result.outcomes[j]);
             }
         }
         // An interrupted run's unfinished rows are default-constructed
@@ -852,41 +825,14 @@ class Supervisor
         if (!outcome_.interrupted)
             aggregateOutcomes(outcome_.result);
         writeCounters(true);
-        writeReport();
     }
 
     /**
-     * Streaming partial results: refresh the checkpoint's counters and
-     * report after every terminal shard, so a sweep watched mid-flight
-     * (or cut short by a dead supervisor) leaves current artifacts
-     * behind. The final refresh in finish() sets `"final": true`.
+     * Refresh DIR/fleet_counters.json. Called after every terminal
+     * shard with @p final false, so a sweep watched mid-flight (or cut
+     * short by a dead supervisor) leaves current counters behind; the
+     * last refresh in finish() sets `"final": true`.
      */
-    void
-    streamArtifacts()
-    {
-        writeCounters(false);
-        writeReport();
-    }
-
-    void
-    writeReport()
-    {
-        if (options_.checkpoint.empty())
-            return;
-        // Like the counters: best-effort artifacts beside the
-        // manifest; a full disk must not turn a completed sweep into
-        // an error exit.
-        try {
-            const Json doc = report_.toJson();
-            writeJsonFile(doc, options_.checkpoint + "/report.json");
-            report::writeReportHtml(
-                doc, options_.checkpoint + "/report.html");
-        } catch (const SimError &e) {
-            std::fprintf(stderr, "[fleet] report not written: %s\n",
-                         e.what());
-        }
-    }
-
     void
     writeCounters(bool final)
     {
@@ -940,9 +886,6 @@ class Supervisor
     FleetOptions options_;
     ExperimentPlan plan_;
     Json specEcho_;
-    /** Streaming fleet rollup (report/rollup.hh): folded per landed
-     *  outcome, written beside the manifest at finish(). */
-    report::ReportBuilder report_;
     FleetOutcome outcome_;
     std::vector<ShardState> shards_;
     std::vector<WorkerProc> pool_;

@@ -1,5 +1,6 @@
 #include "harness/cli.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,7 +18,6 @@
 #include "dram/device_spec.hh"
 #include "obs/telemetry.hh"
 #include "report/diff.hh"
-#include "report/html.hh"
 #include "report/rollup.hh"
 #include "sim/config_io.hh"
 
@@ -43,8 +43,8 @@ printUsage(std::ostream &os)
           "  list telemetry            the telemetry series catalog\n"
           "  list devices              built-in DRAM device presets\n"
           "  report <paths...> [flags] fold sweep artifacts (results\n"
-          "                            JSON, manifest.jsonl, telemetry)\n"
-          "                            into a stfm-report-v1 rollup\n"
+          "                            JSON, manifest.jsonl) into a\n"
+          "                            stfm-report-v1 rollup\n"
           "                            (docs/REPORTING.md)\n"
           "  <figure> [flags]          run a figure (fig09, table5, ...)\n"
           "  help                      this message\n"
@@ -52,13 +52,10 @@ printUsage(std::ostream &os)
           "flags (report):\n"
           "  --out PATH        write the stfm-report-v1 JSON there\n"
           "                    (default: stdout)\n"
-          "  --html PATH       also write a self-contained HTML summary\n"
           "  --spec PATH       the spec a manifest.jsonl input was run\n"
           "                    with (required to ingest manifests)\n"
           "  --name NAME       report name (default: spec name, or\n"
           "                    'fleet')\n"
-          "  --slo-unfairness X / --slo-slowdown X\n"
-          "                    SLO thresholds (defaults 2.0 / 4.0)\n"
           "  --diff BASELINE   compare against a baseline report; exit\n"
           "                    3 when any metric regressed\n"
           "  --diff-out PATH   write the stfm-reportdiff-v1 document\n"
@@ -143,7 +140,8 @@ parseDoubleFlag(const std::string &flag, const char *value)
 {
     char *end = nullptr;
     const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || parsed < 0) {
+    if (end == value || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < 0) {
         throw SimError("flag " + flag + " needs a non-negative number, "
                        "got '" + value + "'");
     }
@@ -338,20 +336,16 @@ commandReport(int argc, char **argv)
 {
     std::vector<std::string> inputs;
     std::string out_path;
-    std::string html_path;
     std::string spec_path;
     std::string diff_path;
     std::string diff_out;
     std::string name;
-    report::SloConfig slo;
     report::DiffOptions diff_options;
     bool quiet = false;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--html" && i + 1 < argc) {
-            html_path = argv[++i];
         } else if (arg == "--spec" && i + 1 < argc) {
             spec_path = argv[++i];
         } else if (arg == "--name" && i + 1 < argc) {
@@ -360,10 +354,6 @@ commandReport(int argc, char **argv)
             diff_path = argv[++i];
         } else if (arg == "--diff-out" && i + 1 < argc) {
             diff_out = argv[++i];
-        } else if (arg == "--slo-unfairness" && i + 1 < argc) {
-            slo.unfairness = parseDoubleFlag(arg, argv[++i]);
-        } else if (arg == "--slo-slowdown" && i + 1 < argc) {
-            slo.slowdown = parseDoubleFlag(arg, argv[++i]);
         } else if (arg == "--threshold" && i + 1 < argc) {
             diff_options.threshold = parseDoubleFlag(arg, argv[++i]);
         } else if (arg == "--quiet") {
@@ -390,7 +380,7 @@ commandReport(int argc, char **argv)
     }
     if (name.empty())
         name = have_plan ? plan.spec.name : "fleet";
-    report::ReportBuilder builder(name, slo);
+    report::ReportBuilder builder(name);
 
     std::vector<std::string> files;
     for (const std::string &input : inputs) {
@@ -439,9 +429,6 @@ commandReport(int argc, char **argv)
         if (kind == "stfm-results-v1") {
             builder.addResultsDoc(doc, file);
             ++ingested;
-        } else if (kind == "stfm-telemetry-v1") {
-            builder.addTelemetryDoc(doc, file);
-            ++ingested;
         } else if (!quiet) {
             std::fprintf(stderr,
                          "[report] skipping %s (schema '%s')\n",
@@ -451,8 +438,7 @@ commandReport(int argc, char **argv)
     if (ingested == 0) {
         throw SimError(
             "report: none of the given inputs carried a sweep "
-            "artifact (stfm-results-v1, stfm-telemetry-v1, or a "
-            "manifest.jsonl)");
+            "artifact (stfm-results-v1 or a manifest.jsonl)");
     }
 
     const Json doc = builder.toJson();
@@ -469,13 +455,6 @@ commandReport(int argc, char **argv)
         if (!quiet) {
             std::fprintf(stderr, "[report] rollup written to %s\n",
                          out_path.c_str());
-        }
-    }
-    if (!html_path.empty()) {
-        report::writeReportHtml(doc, html_path);
-        if (!quiet) {
-            std::fprintf(stderr, "[report] HTML written to %s\n",
-                         html_path.c_str());
         }
     }
 

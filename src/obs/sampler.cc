@@ -96,8 +96,6 @@ EpochSampler::toJson() const
         hist.set("name", h.name);
         hist.set("unit", h.unit);
         hist.set("subsystem", h.subsystem);
-        // Stats via the shared serializer so the report tier's
-        // re-ingest (latencyHistogramFromJson) reads the same shape.
         const Json stats = latencyHistogramToJson(*h.histogram);
         for (const auto &[key, value] : stats.asObject("histogram"))
             hist.set(key, value);

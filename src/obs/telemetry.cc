@@ -1,8 +1,6 @@
 #include "obs/telemetry.hh"
 
-#include <array>
 #include <cctype>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -208,43 +206,6 @@ latencyHistogramToJson(const LatencyHistogram &hist)
         buckets.push(Json(hist.bucket(k)));
     out.set("buckets", std::move(buckets));
     return out;
-}
-
-LatencyHistogram
-latencyHistogramFromJson(const Json &json, const std::string &context)
-{
-    const std::uint64_t count =
-        json.at("count", context).asUint(context + ".count");
-    const auto &values =
-        json.at("buckets", context).asArray(context + ".buckets");
-    if (values.size() != LatencyHistogram::kBuckets) {
-        throw SimError(formatMessage(
-            "%s.buckets: expected %u buckets, got %zu", context.c_str(),
-            LatencyHistogram::kBuckets, values.size()));
-    }
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> buckets{};
-    std::uint64_t total = 0;
-    for (unsigned k = 0; k < LatencyHistogram::kBuckets; ++k) {
-        buckets[k] = values[k].asUint(context + ".buckets[]");
-        total += buckets[k];
-    }
-    if (total != count) {
-        throw SimError(formatMessage(
-            "%s: count %llu but buckets sum to %llu", context.c_str(),
-            static_cast<unsigned long long>(count),
-            static_cast<unsigned long long>(total)));
-    }
-    if (count == 0)
-        return LatencyHistogram();
-    const std::uint64_t min =
-        json.at("min", context).asUint(context + ".min");
-    const std::uint64_t max =
-        json.at("max", context).asUint(context + ".max");
-    const double mean =
-        json.at("mean", context).asDouble(context + ".mean");
-    const std::uint64_t sum = static_cast<std::uint64_t>(
-        std::llround(mean * static_cast<double>(count)));
-    return LatencyHistogram::restore(buckets, count, sum, min, max);
 }
 
 } // namespace stfm

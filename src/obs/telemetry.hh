@@ -121,21 +121,9 @@ std::string normalizeSeriesName(const std::string &name);
 /**
  * Serialize @p hist exactly as stfm-telemetry-v1 documents carry
  * end-of-run histograms: {"count", "min", "max", "mean", "p50",
- * "p90", "p99", "buckets": [32 counts]}. The one shape the epoch
- * sampler emits and the fleet report tier re-ingests.
+ * "p90", "p99", "buckets": [32 counts]}.
  */
 Json latencyHistogramToJson(const LatencyHistogram &hist);
-
-/**
- * Rebuild a mergeable LatencyHistogram from the object
- * latencyHistogramToJson emits. The document carries no explicit
- * sample sum; it is reconstructed as round(mean * count), exact while
- * the true sum fits a double's 2^53 integer range (DRAM-cycle
- * latencies in budgeted runs are far below that). @throws SimError on
- * malformed input; @p context names the value in diagnostics.
- */
-LatencyHistogram latencyHistogramFromJson(const Json &json,
-                                          const std::string &context);
 
 } // namespace stfm
 

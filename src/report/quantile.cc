@@ -10,221 +10,53 @@ namespace stfm
 namespace report
 {
 
-int
-MetricSketch::bucketOf(double value)
-{
-    const double clamped = std::max(value, kMinPositive);
-    // floor of log10(v) * buckets-per-decade. Bucket k spans
-    // [10^(k/N), 10^((k+1)/N)).
-    return static_cast<int>(std::floor(
-        std::log10(clamped) * static_cast<double>(kBucketsPerDecade)));
-}
-
-double
-MetricSketch::bucketMid(int index)
-{
-    const double lo =
-        std::pow(10.0, static_cast<double>(index) /
-                           static_cast<double>(kBucketsPerDecade));
-    const double hi =
-        std::pow(10.0, static_cast<double>(index + 1) /
-                           static_cast<double>(kBucketsPerDecade));
-    return std::sqrt(lo * hi);
-}
-
 void
 MetricSketch::add(double value)
 {
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    if (bucketed_) {
-        ++buckets_[bucketOf(value)];
-        return;
-    }
-    samples_.push_back(value);
-    if (samples_.size() > kExactCap)
-        collapse();
-}
-
-void
-MetricSketch::collapse()
-{
-    for (const double value : samples_)
-        ++buckets_[bucketOf(value)];
-    samples_.clear();
-    samples_.shrink_to_fit();
-    bucketed_ = true;
-}
-
-void
-MetricSketch::merge(const MetricSketch &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-
-    if (!bucketed_ && !other.bucketed_ && count_ <= kExactCap) {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-        return;
-    }
-    // Either side already collapsed, or the union exceeds the cap:
-    // the merged state is bucketed. Bucketing is per-sample, so the
-    // result depends only on the combined multiset — not on which
-    // side collapsed first or in what order merges happened.
-    if (!bucketed_)
-        collapse();
-    for (const auto &[index, n] : other.buckets_)
-        buckets_[index] += n;
-    for (const double value : other.samples_)
-        ++buckets_[bucketOf(value)];
-}
-
-std::vector<double>
-MetricSketch::sorted() const
-{
-    std::vector<double> values = samples_;
-    std::sort(values.begin(), values.end());
-    return values;
+    samples_.insert(
+        std::upper_bound(samples_.begin(), samples_.end(), value),
+        value);
 }
 
 double
 MetricSketch::mean() const
 {
-    if (count_ == 0)
+    if (empty())
         return 0.0;
-    if (!bucketed_) {
-        // Sum in sorted order: a pure function of the multiset, so
-        // the mean is identical under any merge order.
-        double sum = 0.0;
-        for (const double value : sorted())
-            sum += value;
-        return sum / static_cast<double>(count_);
-    }
     double sum = 0.0;
-    for (const auto &[index, n] : buckets_)
-        sum += bucketMid(index) * static_cast<double>(n);
-    const double value = sum / static_cast<double>(count_);
-    return std::min(std::max(value, min_), max_);
+    for (const double value : samples_)
+        sum += value;
+    return sum / static_cast<double>(samples_.size());
 }
 
 double
 MetricSketch::quantile(double p) const
 {
     STFM_ASSERT(p > 0.0 && p <= 1.0, "quantile out of range");
-    if (count_ == 0)
+    if (empty())
         return 0.0;
     const std::uint64_t rank = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
-               std::ceil(p * static_cast<double>(count_))));
-    if (!bucketed_) {
-        const std::vector<double> values = sorted();
-        return values[static_cast<std::size_t>(rank - 1)];
-    }
-    std::uint64_t seen = 0;
-    for (const auto &[index, n] : buckets_) {
-        seen += n;
-        if (seen >= rank) {
-            const double value = bucketMid(index);
-            return std::min(std::max(value, min_), max_);
-        }
-    }
-    return max_;
+               std::ceil(p * static_cast<double>(samples_.size()))));
+    return samples_[static_cast<std::size_t>(rank - 1)];
 }
 
 Json
 MetricSketch::toJson() const
 {
     Json out = Json::object();
-    out.set("count", count_);
+    out.set("count", count());
     out.set("min", min());
     out.set("max", max());
-    if (!bucketed_) {
-        Json values = Json::array();
-        for (const double value : sorted())
-            values.push(Json(value));
-        out.set("samples", std::move(values));
-        return out;
-    }
-    // std::map iterates in index order: serialization is canonical.
-    Json buckets = Json::object();
-    for (const auto &[index, n] : buckets_)
-        buckets.set(std::to_string(index), n);
-    out.set("buckets", std::move(buckets));
+    out.set("mean", mean());
+    out.set("p50", quantile(0.5));
+    out.set("p95", quantile(0.95));
+    out.set("p99", quantile(0.99));
+    Json values = Json::array();
+    for (const double value : samples_)
+        values.push(Json(value));
+    out.set("samples", std::move(values));
     return out;
-}
-
-MetricSketch
-MetricSketch::fromJson(const Json &json, const std::string &context)
-{
-    MetricSketch sketch;
-    const std::uint64_t count =
-        json.at("count", context).asUint(context + ".count");
-    if (count == 0)
-        return sketch;
-    sketch.count_ = count;
-    sketch.min_ = json.at("min", context).asDouble(context + ".min");
-    sketch.max_ = json.at("max", context).asDouble(context + ".max");
-    if (const Json *samples = json.find("samples")) {
-        const auto &values = samples->asArray(context + ".samples");
-        if (values.size() != count) {
-            throw SimError(context + ": count " +
-                           std::to_string(count) + " but " +
-                           std::to_string(values.size()) + " samples");
-        }
-        for (const Json &value : values)
-            sketch.samples_.push_back(
-                value.asDouble(context + ".samples[]"));
-        return sketch;
-    }
-    const auto &buckets =
-        json.at("buckets", context).asObject(context + ".buckets");
-    sketch.bucketed_ = true;
-    std::uint64_t total = 0;
-    for (const auto &[key, value] : buckets) {
-        int index = 0;
-        try {
-            index = std::stoi(key);
-        } catch (const std::exception &) {
-            throw SimError(context + ".buckets: bad bucket index '" +
-                           key + "'");
-        }
-        const std::uint64_t n =
-            value.asUint(context + ".buckets." + key);
-        sketch.buckets_[index] += n;
-        total += n;
-    }
-    if (total != count) {
-        throw SimError(context + ": count " + std::to_string(count) +
-                       " but buckets sum to " + std::to_string(total));
-    }
-    return sketch;
-}
-
-bool
-MetricSketch::operator==(const MetricSketch &other) const
-{
-    if (bucketed_ != other.bucketed_ || count_ != other.count_)
-        return false;
-    if (count_ == 0)
-        return true;
-    if (min_ != other.min_ || max_ != other.max_)
-        return false;
-    if (bucketed_)
-        return buckets_ == other.buckets_;
-    return sorted() == other.sorted();
 }
 
 } // namespace report

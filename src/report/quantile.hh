@@ -1,44 +1,25 @@
 /**
  * @file
- * MetricSketch: a mergeable quantile/distribution structure for the
- * fleet reporting tier (docs/REPORTING.md).
+ * MetricSketch: the exact distribution behind every stfm-report-v1
+ * block (docs/REPORTING.md).
  *
- * Fleet rollups need tail percentiles of *double-valued* fairness
- * metrics (slowdown, unfairness) over anywhere from one run to many
- * thousands, folded in whatever order shards complete. The existing
- * LatencyHistogram (stats/histogram.hh) is integer power-of-two
- * buckets — far too coarse near 1.0, where slowdowns live. This sketch
- * is two-phase:
- *
- *   - **exact** up to kExactCap samples: the raw values are kept, and
- *     quantiles are computed by nearest rank against the sorted
- *     multiset — bit-exact against a sorted-vector oracle;
- *   - **bucketed** beyond the cap: samples collapse into sparse
- *     logarithmic buckets (kBucketsPerDecade per decade, ~0.9 %
- *     relative resolution), constant memory per distinct magnitude.
- *
- * Merge is a pure multiset/integer-count operation in both phases, so
- * it is associative and commutative: merge(a, merge(b, c)) and
- * merge(merge(a, b), c) — and every other fold order — produce
- * identical state, including the exact->bucketed collapse (the
- * collapse fires iff the total count exceeds the cap, and bucketing is
- * per-sample deterministic). The fleet supervisor relies on this to
- * fold shard results in completion order while still emitting a
- * byte-identical stfm-report-v1 rollup.
+ * Rollups need tail percentiles of *double-valued* fairness metrics
+ * (slowdown, unfairness). The largest distribution any checked-in
+ * spec produces holds about a thousand samples, so the sketch simply
+ * keeps every one, in ascending order. Every statistic is then a pure
+ * function of the folded multiset: the serialized report is
+ * byte-identical whatever order the runs were folded in.
  *
  * Percentile definition (the stfm-report-v1 contract): quantile(p)
  * for p in (0, 1] is the nearest-rank statistic — the value of rank
- * ceil(p * count) (1-based) in ascending order. In bucketed phase the
- * returned value is the geometric midpoint of the rank's bucket,
- * clamped to the observed [min, max]. quantile of an empty sketch is
- * 0.
+ * ceil(p * count) (1-based) in ascending order. quantile of an empty
+ * sketch is 0.
  */
 
 #ifndef STFM_REPORT_QUANTILE_HH
 #define STFM_REPORT_QUANTILE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/json.hh"
@@ -51,67 +32,29 @@ namespace report
 class MetricSketch
 {
   public:
-    /** Exact-phase capacity; past this the sketch collapses. */
-    static constexpr std::size_t kExactCap = 4096;
-    /** Log-bucket resolution: buckets per factor of 10. */
-    static constexpr int kBucketsPerDecade = 256;
-    /** Values at or below zero clamp to this before bucketing (exact
-     *  phase keeps them verbatim). */
-    static constexpr double kMinPositive = 1e-12;
-
     /** Record one sample. */
     void add(double value);
 
-    /** Fold @p other in (associative, commutative; see file header). */
-    void merge(const MetricSketch &other);
+    std::uint64_t count() const { return samples_.size(); }
+    bool empty() const { return samples_.empty(); }
+    double min() const { return empty() ? 0.0 : samples_.front(); }
+    double max() const { return empty() ? 0.0 : samples_.back(); }
 
-    std::uint64_t count() const { return count_; }
-    bool empty() const { return count_ == 0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Arithmetic mean. Exact phase: mean of the sorted multiset
-     *  (deterministic under any merge order); bucketed phase: bucket
-     *  midpoints weighted by count, clamped to [min, max]. */
+    /** Arithmetic mean, summed in ascending order. */
     double mean() const;
 
     /** Nearest-rank quantile, p in (0, 1]; see file header. */
     double quantile(double p) const;
 
-    /** True once the sketch has collapsed into log buckets. */
-    bool bucketed() const { return bucketed_; }
-
     /**
-     * Serialize: {"count", "min", "max", and "samples": [sorted...]
-     * (exact) or "buckets": {"<index>": n, ...} (bucketed)}. Sorted
-     * output makes the serialization a pure function of the folded
-     * multiset — byte-identical regardless of merge order.
+     * The distribution block: {"count", "min", "max", "mean", "p50",
+     * "p95", "p99", "samples": [ascending...]}.
      */
     Json toJson() const;
 
-    /** Rebuild from toJson() output. @throws SimError on malformed
-     *  input (@p context names the value in diagnostics). */
-    static MetricSketch fromJson(const Json &json,
-                                 const std::string &context);
-
-    bool operator==(const MetricSketch &other) const;
-
   private:
-    static int bucketOf(double value);
-    /** Geometric midpoint of bucket @p index. */
-    static double bucketMid(int index);
-    void collapse();
-    /** Sorted view of the exact samples. */
-    std::vector<double> sorted() const;
-
-    bool bucketed_ = false;
-    std::uint64_t count_ = 0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    /** Exact phase: raw samples, unordered. */
+    /** Every sample, ascending. */
     std::vector<double> samples_;
-    /** Bucketed phase: sparse log-bucket counts. */
-    std::map<int, std::uint64_t> buckets_;
 };
 
 } // namespace report

@@ -12,7 +12,6 @@
 #include "fleet/wire.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
-#include "obs/telemetry.hh"
 
 namespace stfm
 {
@@ -44,10 +43,7 @@ stripDeviceSuffix(const std::string &scheduler, const std::string &device)
 
 } // namespace
 
-ReportBuilder::ReportBuilder(std::string name, SloConfig slo)
-    : name_(std::move(name)), slo_(slo)
-{
-}
+ReportBuilder::ReportBuilder(std::string name) : name_(std::move(name)) {}
 
 ReportBuilder::Group &
 ReportBuilder::groupFor(const std::string &scheduler,
@@ -61,34 +57,6 @@ ReportBuilder::groupFor(const std::string &scheduler,
 }
 
 void
-ReportBuilder::addRun(Group &group, const std::string &workload,
-                      bool failed, double unfairness,
-                      const std::vector<double> &slowdowns,
-                      double weighted_speedup)
-{
-    ++runs_;
-    ++group.runs;
-    WorkloadStats &ws = group.workloads[workload];
-    ++ws.runs;
-    if (failed) {
-        ++failedRuns_;
-        ++group.failed;
-        ++ws.failed;
-        return;
-    }
-    group.unfairness.add(unfairness);
-    ws.unfairness.add(unfairness);
-    group.weightedSpeedup.add(weighted_speedup);
-    if (unfairness > slo_.unfairness)
-        ++group.sloUnfairness;
-    for (const double slowdown : slowdowns) {
-        group.slowdown.add(slowdown);
-        if (slowdown > slo_.slowdown)
-            ++group.sloSlowdown;
-    }
-}
-
-void
 ReportBuilder::addOutcome(const std::string &scheduler,
                           const std::string &device,
                           const std::string &workload,
@@ -96,12 +64,22 @@ ReportBuilder::addOutcome(const std::string &scheduler,
 {
     Group &group =
         groupFor(stripDeviceSuffix(scheduler, device), device, order_hint);
-    if (outcome.failed)
-        addRun(group, workload, true, 0.0, {}, 0.0);
-    else
-        addRun(group, workload, false, outcome.metrics.unfairness,
-               outcome.metrics.slowdowns, outcome.metrics.weightedSpeedup);
-    ++streamedRuns_;
+    ++runs_;
+    ++group.runs;
+    WorkloadStats &ws = group.workloads[workload];
+    ++ws.runs;
+    if (outcome.failed) {
+        ++failedRuns_;
+        ++group.failed;
+        ++ws.failed;
+        return;
+    }
+    const MetricsReport &metrics = outcome.metrics;
+    group.unfairness.add(metrics.unfairness);
+    ws.unfairness.add(metrics.unfairness);
+    group.weightedSpeedup.add(metrics.weightedSpeedup);
+    for (const double slowdown : metrics.slowdowns)
+        group.slowdown.add(slowdown);
 }
 
 std::uint64_t
@@ -132,28 +110,24 @@ ReportBuilder::addResultsDoc(const Json &doc,
         std::string device;
         if (const Json *d = run.find("device"))
             device = d->asString(rc + ".device");
-        const bool failed =
-            run.at("failed", rc).asBool(rc + ".failed");
-        Group &group = groupFor(stripDeviceSuffix(scheduler, device),
-                                device, -1);
-        if (failed) {
-            addRun(group, workload, true, 0.0, {}, 0.0);
-        } else {
+        RunOutcome outcome;
+        outcome.failed = run.at("failed", rc).asBool(rc + ".failed");
+        if (!outcome.failed) {
             const Json &metrics = run.at("metrics", rc);
-            std::vector<double> slowdowns;
+            outcome.metrics.unfairness = metrics.at("unfairness", rc)
+                                             .asDouble(rc + ".unfairness");
+            outcome.metrics.weightedSpeedup =
+                metrics.at("weightedSpeedup", rc)
+                    .asDouble(rc + ".weightedSpeedup");
             for (const Json &v : metrics.at("slowdowns", rc)
                                      .asArray(rc + ".slowdowns"))
-                slowdowns.push_back(v.asDouble(rc + ".slowdowns[]"));
-            addRun(group, workload, false,
-                   metrics.at("unfairness", rc)
-                       .asDouble(rc + ".unfairness"),
-                   slowdowns,
-                   metrics.at("weightedSpeedup", rc)
-                       .asDouble(rc + ".weightedSpeedup"));
+                outcome.metrics.slowdowns.push_back(
+                    v.asDouble(rc + ".slowdowns[]"));
         }
+        addOutcome(scheduler, device, workload, outcome, -1);
         ++folded;
     }
-    noteSource(source_path, "results", folded);
+    sources_.push_back({source_path, "results", folded});
     return folded;
 }
 
@@ -209,59 +183,15 @@ ReportBuilder::addManifest(const std::string &path,
             const std::size_t s = job % per;
             const std::size_t row = job / per;
             const SchedulerEntry &sched = plan.schedulers[s];
-            const RunOutcome outcome =
-                fleet::runOutcomeFromWire(outcomes[i], sc);
-            Group &group = groupFor(
-                stripDeviceSuffix(sched.label, sched.device),
-                sched.device, static_cast<int>(s));
-            const std::string workload = workloadLabel(
-                plan.workloads[row / plan.spec.repeat]);
-            if (outcome.failed) {
-                addRun(group, workload, true, 0.0, {}, 0.0);
-            } else {
-                addRun(group, workload, false,
-                       outcome.metrics.unfairness,
-                       outcome.metrics.slowdowns,
-                       outcome.metrics.weightedSpeedup);
-            }
+            addOutcome(sched.label, sched.device,
+                       workloadLabel(plan.workloads[row / plan.spec.repeat]),
+                       fleet::runOutcomeFromWire(outcomes[i], sc),
+                       static_cast<int>(s));
             ++folded;
         }
     }
-    noteSource(path, "manifest", folded);
+    sources_.push_back({path, "manifest", folded});
     return folded;
-}
-
-void
-ReportBuilder::addTelemetryDoc(const Json &doc,
-                               const std::string &source_path)
-{
-    const std::string context = "telemetry " + source_path;
-    const std::string schema =
-        doc.at("schema", context).asString(context + ".schema");
-    if (schema != "stfm-telemetry-v1") {
-        throw SimError("report: " + source_path +
-                       ": unexpected schema '" + schema + "'");
-    }
-    if (const Json *histograms = doc.find("histograms")) {
-        for (const Json &hist :
-             histograms->asArray(context + ".histograms")) {
-            const std::string hc = context + ".histograms[]";
-            const std::string name =
-                hist.at("name", hc).asString(hc + ".name");
-            if (name.find(".readLatency.") == std::string::npos)
-                continue;
-            readLatency_.merge(latencyHistogramFromJson(hist, hc));
-            haveReadLatency_ = true;
-        }
-    }
-    noteSource(source_path, "telemetry", 0);
-}
-
-void
-ReportBuilder::noteSource(const std::string &path,
-                          const std::string &kind, std::uint64_t runs)
-{
-    sources_.push_back({path, kind, runs});
 }
 
 Json
@@ -270,11 +200,6 @@ ReportBuilder::toJson() const
     Json out = Json::object();
     out.set("schema", "stfm-report-v1");
     out.set("name", name_);
-
-    Json slo = Json::object();
-    slo.set("unfairness", slo_.unfairness);
-    slo.set("slowdown", slo_.slowdown);
-    out.set("slo", std::move(slo));
 
     // Canonical group order: plan order first (the scheduler axis as
     // the spec listed it), then key — independent of fold order.
@@ -292,13 +217,9 @@ ReportBuilder::toJson() const
     std::set<std::string> schedulers;
     std::set<std::string> devices;
     std::set<std::string> workloads;
-    std::uint64_t slo_unfairness = 0;
-    std::uint64_t slo_slowdown = 0;
     for (const auto &[key, group] : groups_) {
         schedulers.insert(key.first);
         devices.insert(key.second);
-        slo_unfairness += group.sloUnfairness;
-        slo_slowdown += group.sloSlowdown;
         for (const auto &[label, ws] : group.workloads)
             workloads.insert(label);
     }
@@ -310,10 +231,6 @@ ReportBuilder::toJson() const
     totals.set("schedulers", schedulers.size());
     totals.set("devices", devices.size());
     totals.set("workloads", workloads.size());
-    Json violations = Json::object();
-    violations.set("unfairness", slo_unfairness);
-    violations.set("slowdown", slo_slowdown);
-    totals.set("sloViolations", std::move(violations));
     out.set("totals", std::move(totals));
 
     Json sources = Json::array();
@@ -322,13 +239,6 @@ ReportBuilder::toJson() const
         entry.set("path", source.path);
         entry.set("kind", source.kind);
         entry.set("runs", source.runs);
-        sources.push(std::move(entry));
-    }
-    if (streamedRuns_ > 0) {
-        Json entry = Json::object();
-        entry.set("path", "<streamed>");
-        entry.set("kind", "stream");
-        entry.set("runs", streamedRuns_);
         sources.push(std::move(entry));
     }
     out.set("sources", std::move(sources));
@@ -341,14 +251,9 @@ ReportBuilder::toJson() const
         g.set("device", key.second);
         g.set("runs", group.runs);
         g.set("failed", group.failed);
-        Json gv = Json::object();
-        gv.set("unfairness", group.sloUnfairness);
-        gv.set("slowdown", group.sloSlowdown);
-        g.set("sloViolations", std::move(gv));
-        g.set("unfairness", distributionJson(group.unfairness));
-        g.set("slowdown", distributionJson(group.slowdown));
-        g.set("weightedSpeedup",
-              distributionJson(group.weightedSpeedup));
+        g.set("unfairness", group.unfairness.toJson());
+        g.set("slowdown", group.slowdown.toJson());
+        g.set("weightedSpeedup", group.weightedSpeedup.toJson());
         Json wl = Json::array();
         // std::map iteration: workloads already sorted by label.
         for (const auto &[label, ws] : group.workloads) {
@@ -367,31 +272,6 @@ ReportBuilder::toJson() const
         groups.push(std::move(g));
     }
     out.set("groups", std::move(groups));
-
-    if (haveReadLatency_) {
-        Json latency = latencyHistogramToJson(readLatency_);
-        latency.set("unit", "dram-cycles");
-        out.set("readLatency", std::move(latency));
-    }
-    return out;
-}
-
-Json
-distributionJson(const MetricSketch &sketch)
-{
-    Json out = Json::object();
-    out.set("count", sketch.count());
-    out.set("min", sketch.min());
-    out.set("max", sketch.max());
-    out.set("mean", sketch.mean());
-    out.set("p50", sketch.quantile(0.5));
-    out.set("p95", sketch.quantile(0.95));
-    out.set("p99", sketch.quantile(0.99));
-    const Json payload = sketch.toJson();
-    if (const Json *samples = payload.find("samples"))
-        out.set("samples", *samples);
-    else
-        out.set("buckets", *payload.find("buckets"));
     return out;
 }
 

@@ -1,24 +1,20 @@
 /**
  * @file
- * The fleet rollup builder: folds per-run artifacts — stfm-results-v1
- * documents, manifest.jsonl shard checkpoints, stfm-telemetry-v1
- * samples — into one fleet-level `stfm-report-v1` document
- * (docs/REPORTING.md is the schema contract).
+ * The rollup builder: folds per-run artifacts — stfm-results-v1
+ * documents and manifest.jsonl shard checkpoints — into one
+ * `stfm-report-v1` document (docs/REPORTING.md is the schema
+ * contract).
  *
- * Folding is streaming and order-independent: every distribution is a
- * MetricSketch (report/quantile.hh), whose merge is associative and
- * commutative, and all serialization orders are canonical (groups by
- * plan order then key, workloads by label, sketch samples sorted).
- * The fleet supervisor folds shard outcomes the moment they complete,
- * in whatever order workers finish, and still writes the exact bytes
- * an after-the-fact `stfm report` over the merged results produces.
+ * Folding is order-independent: every distribution is an exact
+ * MetricSketch (report/quantile.hh), and all serialization orders are
+ * canonical (groups by plan order then key, workloads by label,
+ * samples ascending). A checkpoint's manifest and the merged results
+ * document of the same sweep therefore roll up to the same bytes,
+ * `sources` aside.
  *
  * Grouping: one group per (scheduler, device) pair. Failed runs are
  * counted per group and per workload but excluded from the metric
- * distributions (there are no valid metrics to fold). SLO violations
- * are counted against the configured thresholds: one per run whose
- * unfairness exceeds `slo.unfairness`, one per thread whose memory
- * slowdown exceeds `slo.slowdown`.
+ * distributions (there are no valid metrics to fold).
  */
 
 #ifndef STFM_REPORT_ROLLUP_HH
@@ -32,7 +28,6 @@
 
 #include "common/json.hh"
 #include "report/quantile.hh"
-#include "stats/histogram.hh"
 
 namespace stfm
 {
@@ -43,27 +38,17 @@ struct ExperimentPlan;
 namespace report
 {
 
-/** Fleet SLO thresholds (folded into the report; see REPORTING.md). */
-struct SloConfig
-{
-    /** A run whose unfairness exceeds this violates the fairness SLO. */
-    double unfairness = 2.0;
-    /** A thread whose memory slowdown exceeds this violates the
-     *  per-thread SLO. */
-    double slowdown = 4.0;
-};
-
 class ReportBuilder
 {
   public:
-    explicit ReportBuilder(std::string name, SloConfig slo = {});
+    explicit ReportBuilder(std::string name);
 
     /**
-     * Fold one run outcome under its labels (the fleet streaming
-     * path). @p scheduler may carry the plan's "@<device>" suffix; it
-     * is stripped when it names @p device. @p order_hint fixes the
-     * group's position in the serialized report (plan scheduler
-     * index); pass -1 to assign first-seen order.
+     * Fold one run outcome under its labels. @p scheduler may carry
+     * the plan's "@<device>" suffix; it is stripped when it names
+     * @p device. @p order_hint fixes the group's position in the
+     * serialized report (plan scheduler index); pass -1 to assign
+     * first-seen order.
      */
     void addOutcome(const std::string &scheduler,
                     const std::string &device,
@@ -87,18 +72,6 @@ class ReportBuilder
     std::uint64_t addManifest(const std::string &path,
                               const ExperimentPlan &plan);
 
-    /**
-     * Merge a stfm-telemetry-v1 document's read-latency histograms
-     * into the fleet-level latency distribution. Documents without
-     * histograms fold as a no-op. @throws SimError on malformed input.
-     */
-    void addTelemetryDoc(const Json &doc,
-                         const std::string &source_path);
-
-    /** Record an ingested source in the report's provenance list. */
-    void noteSource(const std::string &path, const std::string &kind,
-                    std::uint64_t runs);
-
     /** Total outcomes folded so far (failed included). */
     std::uint64_t runs() const { return runs_; }
 
@@ -118,8 +91,6 @@ class ReportBuilder
         int order = -1;
         std::uint64_t runs = 0;
         std::uint64_t failed = 0;
-        std::uint64_t sloUnfairness = 0;
-        std::uint64_t sloSlowdown = 0;
         MetricSketch unfairness;
         MetricSketch slowdown;
         MetricSketch weightedSpeedup;
@@ -135,29 +106,15 @@ class ReportBuilder
 
     Group &groupFor(const std::string &scheduler,
                     const std::string &device, int order_hint);
-    void addRun(Group &group, const std::string &workload, bool failed,
-                double unfairness, const std::vector<double> &slowdowns,
-                double weighted_speedup);
 
     std::string name_;
-    SloConfig slo_;
     std::uint64_t runs_ = 0;
     std::uint64_t failedRuns_ = 0;
     int nextOrder_ = 0;
     /** Keyed (scheduler, device); serialization sorts by (order, key). */
     std::map<std::pair<std::string, std::string>, Group> groups_;
     std::vector<Source> sources_;
-    std::uint64_t streamedRuns_ = 0;
-    LatencyHistogram readLatency_;
-    bool haveReadLatency_ = false;
 };
-
-/**
- * Serialize one distribution block: MetricSketch stats (count, min,
- * max, mean, p50, p95, p99) plus the sketch payload ("samples" or
- * "buckets") that keeps the block mergeable downstream.
- */
-Json distributionJson(const MetricSketch &sketch);
 
 // Input discovery ----------------------------------------------------
 

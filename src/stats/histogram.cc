@@ -54,27 +54,6 @@ LatencyHistogram::quantile(double p) const
     return max_;
 }
 
-LatencyHistogram
-LatencyHistogram::restore(
-    const std::array<std::uint64_t, kBuckets> &buckets,
-    std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-    std::uint64_t max)
-{
-    std::uint64_t total = 0;
-    for (const std::uint64_t n : buckets)
-        total += n;
-    STFM_ASSERT(total == count, "histogram bucket sum != count");
-    LatencyHistogram hist;
-    if (count == 0)
-        return hist;
-    hist.buckets_ = buckets;
-    hist.count_ = count;
-    hist.sum_ = sum;
-    hist.min_ = min;
-    hist.max_ = max;
-    return hist;
-}
-
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {

@@ -43,17 +43,6 @@ class LatencyHistogram
     /** Merge another histogram into this one. */
     void merge(const LatencyHistogram &other);
 
-    /**
-     * Rebuild a histogram from previously reported state (the obs tier
-     * deserializes end-of-run telemetry snapshots through this; see
-     * obs/telemetry.hh latencyHistogramFromJson). @p sum is the exact
-     * sample total the mean was derived from.
-     */
-    static LatencyHistogram
-    restore(const std::array<std::uint64_t, kBuckets> &buckets,
-            std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-            std::uint64_t max);
-
   private:
     static unsigned bucketOf(std::uint64_t value);
 

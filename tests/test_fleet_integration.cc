@@ -26,6 +26,7 @@
 #include "fleet/supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/spec.hh"
+#include "report/rollup.hh"
 
 namespace stfm
 {
@@ -85,8 +86,7 @@ class TempDir
     {
         std::remove((path_ + "/manifest.jsonl").c_str());
         std::remove((path_ + "/fleet_counters.json").c_str());
-        std::remove((path_ + "/report.json").c_str());
-        std::remove((path_ + "/report.html").c_str());
+        std::remove((path_ + "/results.json").c_str());
         ::rmdir(path_.c_str());
     }
     std::string path_;
@@ -184,12 +184,12 @@ TEST(FleetIntegration, CountersRecordPerShardWallClock)
     EXPECT_EQ(jobs, 2u);
 }
 
-TEST(FleetIntegration, CheckpointedRunWritesReportArtifacts)
+TEST(FleetIntegration, ManifestRollupMatchesResultsRollup)
 {
     FleetOptions options = baseOptions();
     REQUIRE_CLI(options.workerArgv);
     const ExperimentSpec spec = specFromText(kSpecText);
-    TempDir checkpoint("fleet_it_report");
+    TempDir checkpoint("fleet_it_rollup");
     options.checkpoint = checkpoint.path();
     options.shards = 2;
     options.workers = 2;
@@ -197,29 +197,29 @@ TEST(FleetIntegration, CheckpointedRunWritesReportArtifacts)
     const FleetOutcome outcome = runShardedExperiment(spec, options);
     EXPECT_FALSE(outcome.anyFailed());
 
-    // The supervisor folds shard outcomes into a stfm-report-v1
-    // rollup as they complete and writes it beside the manifest.
-    std::ifstream json_in(checkpoint.path() + "/report.json",
-                          std::ios::binary);
-    ASSERT_TRUE(json_in.is_open());
-    std::ostringstream json_text;
-    json_text << json_in.rdbuf();
-    const Json report = Json::parse(json_text.str());
-    EXPECT_EQ(report.at("schema", "report").asString(),
-              "stfm-report-v1");
-    EXPECT_EQ(report.at("totals", "report").at("runs", "t").asUint(),
-              2u);
-    EXPECT_EQ(report.at("totals", "report").at("failed", "t").asUint(),
-              0u);
+    // The checkpoint holds the manifest and the counters, nothing
+    // else: the rollup has one producer, `stfm report`.
+    const std::string dir = checkpoint.path() + "/";
+    EXPECT_EQ(report::listDirectoryFiles(checkpoint.path()),
+              (std::vector<std::string>{dir + "fleet_counters.json",
+                                        dir + "manifest.jsonl"}));
 
-    std::ifstream html_in(checkpoint.path() + "/report.html",
-                          std::ios::binary);
-    ASSERT_TRUE(html_in.is_open());
-    std::ostringstream html_text;
-    html_text << html_in.rdbuf();
-    EXPECT_NE(html_text.str().find("<!DOCTYPE html>"),
-              std::string::npos);
-    EXPECT_NE(html_text.str().find("<svg"), std::string::npos);
+    // Folding the manifest (job grid re-derived from the plan) and
+    // folding the merged results document give the same rollup.
+    report::ReportBuilder from_manifest(spec.name);
+    EXPECT_EQ(from_manifest.addManifest(dir + "manifest.jsonl",
+                                        planExperiment(spec)),
+              2u);
+    report::ReportBuilder from_results(spec.name);
+    EXPECT_EQ(from_results.addResultsDoc(resultsJson(outcome.result),
+                                         "results.json"),
+              2u);
+    // Only the provenance list (`sources`) names different inputs.
+    Json a = from_manifest.toJson();
+    Json b = from_results.toJson();
+    a.set("sources", Json());
+    b.set("sources", Json());
+    EXPECT_EQ(a.dump(), b.dump());
 }
 
 TEST(FleetIntegration, CrashIsRetriedToAnIdenticalResult)
@@ -609,6 +609,25 @@ TEST(FleetIntegration, ReportCliRejectsUselessInputs)
             .c_str());
     ASSERT_TRUE(WIFEXITED(missingRc));
     EXPECT_EQ(WEXITSTATUS(missingRc), 1);
+
+    // A non-finite --threshold would make every `current > baseline *
+    // (1 + threshold)` comparison false and pass any regression: it
+    // is a usage error. The control run shows the input itself is
+    // good.
+    TempDir inputs("fleet_it_report_threshold");
+    const std::string results = inputs.path() + "/results.json";
+    writeResultsJson(runExperiment(specFromText(kSpecText)), results);
+    const auto reportRc = [&](const std::string &threshold) {
+        const int rc = std::system((std::string(cli) + " report " +
+                                    results + " --threshold " +
+                                    threshold + quiet)
+                                       .c_str());
+        EXPECT_TRUE(WIFEXITED(rc)) << threshold;
+        return WEXITSTATUS(rc);
+    };
+    EXPECT_EQ(reportRc("0.02"), 0);
+    EXPECT_EQ(reportRc("nan"), 1);
+    EXPECT_EQ(reportRc("inf"), 1);
 }
 
 } // namespace
